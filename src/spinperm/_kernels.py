@@ -8,7 +8,9 @@ cross-checked in the test suite and the benchmark table.
 All kernels work in "code" space: bit ``p`` of a basis code is the
 occupation of site ``n-1-p``, so ascending codes match ascending text
 labels.  ``wbits[p]`` must hold the weight for raising the site stored in
-bit ``p``.
+bit ``p``.  The raising rule itself lives in ``bits.raise_edges``, which the
+numpy kernel consumes; ``_apply_level_nb`` is its compiled mirror.  The
+closing step is the raise into level n, whose only code is ``2**n - 1``.
 """
 
 from __future__ import annotations
@@ -106,22 +108,6 @@ def _apply_level_nb(src, dst, amps, wbits, fermionic):
 
 
 @njit(cache=True)
-def _closing_nb(src, amps, wbits, fermionic, full):
-    total = 0.0 + 0.0j
-    for i in range(src.shape[0]):
-        c = src[i]
-        rem = full ^ c
-        p = 0
-        while (np.int64(1) << p) != rem:
-            p += 1
-        a = wbits[p] * amps[i]
-        if fermionic and _popcount(c & (rem - 1)) & 1:
-            a = -a
-        total += a
-    return total
-
-
-@njit(cache=True)
 def _ryser_nb(a):
     n = a.shape[0]
     rows = np.zeros(n, dtype=np.complex128)
@@ -175,33 +161,15 @@ def _bit_positions(values: np.ndarray) -> np.ndarray:
     return np.frexp(values.astype(np.float64))[1].astype(np.int64) - 1
 
 
-def _parity_below_np(codes: np.ndarray, bit) -> np.ndarray:
-    masked = (codes & (bit - 1)).astype(np.uint64)
-    return np.bitwise_count(masked).astype(np.int64) & 1
-
-
 def _apply_level_np(src, dst, amps, wbits, fermionic):
     out = np.zeros(dst.shape[0], dtype=np.complex128)
-    for p in range(wbits.shape[0]):
-        bit = np.int64(1) << np.int64(p)
-        sel = (src & bit) == 0
-        codes = src[sel]
-        if codes.size == 0:
-            continue
-        idx = np.searchsorted(dst, codes | bit)
-        vals = wbits[p] * amps[sel]
+    for p, pos, raised, odd in bits.raise_edges(src, wbits.shape[0], fermionic):
+        vals = wbits[p] * amps[pos]
         if fermionic:
-            vals = np.where(_parity_below_np(codes, bit) == 1, -vals, vals)
-        out[idx] += vals  # targets are distinct for a fixed raised bit
+            vals = np.where(odd, -vals, vals)
+        # targets are distinct for a fixed raised bit
+        out[np.searchsorted(dst, raised)] += vals
     return out
-
-
-def _closing_np(src, amps, wbits, fermionic, full):
-    rem = full ^ src
-    vals = wbits[_bit_positions(rem)] * amps
-    if fermionic:
-        vals = np.where(_parity_below_np(src, rem) == 1, -vals, vals)
-    return complex(np.sum(vals))
 
 
 def _ryser_np(a, dtype=np.complex128):
@@ -254,9 +222,8 @@ def apply_level(src, dst, amps, wbits, fermionic: bool, kernel: str | None = Non
 
 
 def apply_closing(src, amps, wbits, fermionic: bool, full: int, kernel: str | None = None):
-    if (kernel or kernel_name()) == "numba":
-        return complex(_closing_nb(src, amps, wbits, fermionic, np.int64(full)))
-    return _closing_np(src, amps, wbits, fermionic, np.int64(full))
+    fn = _apply_level_nb if (kernel or kernel_name()) == "numba" else _apply_level_np
+    return complex(fn(src, np.array([full], dtype=np.int64), amps, wbits, fermionic)[0])
 
 
 def ryser_sum(a: np.ndarray, kernel: str | None = None) -> complex:

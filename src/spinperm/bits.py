@@ -7,6 +7,8 @@ Two integer encodings of an occupation string coexist:
   i.e. site ``s`` occupies bit ``n-1-s``.  All basis enumerations in this
   package are sorted by ascending ``code``, which makes dense matrices line
   up with labels sorted as binary numbers (``000 < 001 < 010 < ...``).
+
+``raise_edges`` is the one definition of the operator's raising rule.
 """
 
 from __future__ import annotations
@@ -97,3 +99,22 @@ def rank_in_level(code: int, n: int) -> int:
 def parity_below(code: int, bit: int) -> int:
     """Parity of set bits strictly below the given single-bit value."""
     return (code & (bit - 1)).bit_count() & 1
+
+
+def raise_edges(codes: np.ndarray, n: int, fermionic: bool):
+    """Every edge out of ``codes`` (ascending), grouped by raised code bit.
+
+    Yields ``(p, pos, raised, odd)`` for p = 0..n-1: the positions in
+    ``codes`` of the codes with bit p empty, their raised codes
+    ``code | 1 << p`` (ascending), and the Jordan-Wigner odd mask
+    ``parity_below(code, 1 << p) == 1`` (``None`` when bosonic).  Bit p holds
+    site n-1-p, so the edge weight from level h is ``w[h, n-1-p]``.
+    """
+    odd_all = np.zeros(codes.shape[0], dtype=bool)
+    for p in range(n):
+        bit = 1 << p
+        empty = (codes & bit) == 0
+        pos = empty.nonzero()[0]
+        yield p, pos, codes[pos] | bit, odd_all[pos] if fermionic else None
+        if fermionic:
+            np.equal(odd_all, empty, out=odd_all)  # odd ^= (bit p is set)

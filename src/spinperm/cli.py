@@ -50,6 +50,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.command == "graph" and self.format not in ("dot", "json"):
             raise ParseError("graph command requires --format dot or json")
+        if self.backend == "exact" and self.command in ("spectrum", "reduce", "graph"):
+            raise ParseError(
+                f"{self.command} runs in floating point; --backend exact is for perm and det"
+            )
+        if self.command == "reduce" and self.variant != "breve":
+            raise ParseError("reduce is defined for the breve variant only")
         if self.backend == "exact" and self.generator is not None:
             if self.generator.get("kind", "complex_gaussian") != "zero_one":
                 raise ParseError(

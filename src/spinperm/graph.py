@@ -15,7 +15,7 @@ import numpy as np
 from . import bits
 from .errors import RangeError, SizeGuardError
 from .matrix import format_complex
-from .operator import BasisState, SpinOperator
+from .operator import SpinOperator
 from .oracles import lower_triangular_reduce
 from .reduction import ReductionTrace
 
@@ -106,35 +106,26 @@ def graph_from_operator(op: SpinOperator) -> AbpGraph:
     n = op.n
     if n > GRAPH_MAX_N:
         raise SizeGuardError(f"graph construction limited to n <= {GRAPH_MAX_N}")
-    full = (1 << n) - 1
     sink_level = n if op.variant == "breve" else n + 1
-    zero_label = "0" * n
-    nodes = [AbpNode(SINK_ID, zero_label, sink_level)]
+    nodes = [AbpNode(SINK_ID, "0" * n, sink_level)]
     edges = []
     w = op.matrix.to_array()
     top = n - 1 if op.variant == "breve" else n
     for h in range(top + 1):
-        for code in bits.level_codes_list(n, h):
-            state = BasisState.from_code(code, n)
-            nodes.append(AbpNode(_node_id(code), state.text, h))
-            if h == n:
-                edges.append(AbpEdge(_node_id(code), SINK_ID, 1.0 + 0.0j, "1"))
-                continue
-            for site in range(n):
-                if state.mask >> site & 1:
-                    continue
-                sign = 1
-                if op.fermionic and (state.mask >> (site + 1)).bit_count() & 1:
-                    sign = -1
-                weight = sign * w[h, site]
-                target_code = bits.mask_to_code(state.mask | (1 << site), n)
-                if op.variant == "breve" and h == n - 1:
-                    target = SINK_ID
-                else:
-                    target = _node_id(target_code)
-                edges.append(
-                    AbpEdge(_node_id(code), target, complex(weight), _weight_label(h, site, sign))
-                )
+        codes = bits.level_codes(n, h)
+        ids = [_node_id(c) for c in codes.tolist()]
+        nodes.extend(AbpNode(i, format(c, f"0{n}b"), h) for i, c in zip(ids, codes.tolist()))
+        if h == n:
+            edges.append(AbpEdge(ids[0], SINK_ID, 1.0 + 0.0j, "1"))
+            continue
+        for p, pos, raised, odd in bits.raise_edges(codes, n, op.fermionic):
+            site = n - 1 - p
+            negate = odd.tolist() if op.fermionic else [False] * len(pos)
+            for i, target_code, neg in zip(pos.tolist(), raised.tolist(), negate):
+                sign = -1 if neg else 1
+                target = SINK_ID if h == n - 1 and op.variant == "breve" else _node_id(target_code)
+                edges.append(AbpEdge(ids[i], target, complex(sign * w[h, site]),
+                                     _weight_label(h, site, sign)))
     _sort_and_check(nodes, edges)
     return AbpGraph(n=n, nodes=nodes, edges=edges, source_id=_node_id(0))
 

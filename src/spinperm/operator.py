@@ -6,11 +6,15 @@ occupied-sites-to-the-right parity for fermionic statistics.  Sweeping it n
 times against the all-empty state yields the permanent (bosonic) or the
 determinant (fermionic) at a counted cost of exactly ``n * 2**n`` fused
 multiply-adds.
+
+Every edge here comes from ``bits.raise_edges``: the float and exact sweeps,
+the closing step, ``dense_operator`` and ``jw_sign``.  The closing step is
+the raise into level n, whose single code is ``2**n - 1``; its one amplitude
+is the value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +75,13 @@ def jw_sign(state: BasisState, site: int) -> int:
     Counts occupied sites with index greater than ``site`` (to the right in
     the rendered label); odd count flips the sign.
     """
-    if state.mask >> site & 1:
-        raise OccupiedSiteError(f"site {site} of {state.text} already occupied")
-    above = state.mask >> (site + 1)
-    return -1 if above.bit_count() & 1 else 1
+    edges = bits.raise_edges(np.array([state.code]), state.n, True)
+    for p, pos, _, odd in edges:
+        if p == state.n - 1 - site:
+            if not pos.size:
+                raise OccupiedSiteError(f"site {site} of {state.text} already occupied")
+            return -1 if odd[0] else 1
+    raise RangeError(f"site {site} out of range for n={state.n}")
 
 
 @dataclass
@@ -186,11 +193,11 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
     n, h = op.n, v.level
     if count is not None:
         count.tally_edges(bits.binom(n, h) * (n - h))
-    if v.is_exact:
-        return _apply_level_exact(op, v)
     kernel = _kernels.kernel_name()
     src = _kernels.level_codes(n, h, kernel)
     dst = _kernels.level_codes(n, h + 1, kernel)
+    if v.is_exact:
+        return LevelVector(n, h + 1, _raise_exact(op, v, src, dst))
     out = _kernels.apply_level(
         src, dst, np.asarray(v.amplitudes), _wbits_row(op, h), op.fermionic, kernel
     )
@@ -198,7 +205,11 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
 
 
 def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None):
-    """Closed-variant final step: level n-1 -> amplitude on the empty state."""
+    """Closed-variant final step: level n-1 -> amplitude on the empty state.
+
+    This is the raise into level n, whose single state is all-occupied;
+    the closed variant identifies that state with the empty one.
+    """
     if op.variant != "breve":
         raise LevelMismatchError("apply_closing is only defined for the breve variant")
     n = op.n
@@ -206,55 +217,30 @@ def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None
         raise LevelMismatchError(f"apply_closing expects level {n - 1}, got {v.level}")
     if count is not None:
         count.tally_edges(n)
-    if v.is_exact:
-        return _apply_closing_exact(op, v)
     kernel = _kernels.kernel_name()
     src = _kernels.level_codes(n, n - 1, kernel)
+    full = (1 << n) - 1
+    if v.is_exact:
+        return _raise_exact(op, v, src, np.array([full]))[0]
     return _kernels.apply_closing(
-        src,
-        np.asarray(v.amplitudes),
-        _wbits_row(op, n - 1),
-        op.fermionic,
-        (1 << n) - 1,
-        kernel,
+        src, np.asarray(v.amplitudes), _wbits_row(op, n - 1), op.fermionic, full, kernel
     )
 
 
-def _apply_level_exact(op: SpinOperator, v: LevelVector) -> LevelVector:
+def _raise_exact(op: SpinOperator, v: LevelVector, src, dst) -> list[ExactComplex]:
+    """Exact-backend raise of ``v`` (codes ``src``) onto the codes ``dst``."""
     n, h = op.n, v.level
-    src = bits.level_codes_list(n, h)
-    dst = bits.level_codes_list(n, h + 1)
     out = [EXACT_ZERO] * len(dst)
-    for i, code in enumerate(src):
-        amp = v.amplitudes[i]
-        if amp.is_zero():
-            continue
-        for p in range(n):
-            bit = 1 << p
-            if code & bit:
+    for p, pos, raised, odd in bits.raise_edges(src, n, op.fermionic):
+        w = op.matrix.weight(h, n - 1 - p)
+        negate = odd.tolist() if op.fermionic else [False] * len(pos)
+        for i, j, neg in zip(pos.tolist(), np.searchsorted(dst, raised).tolist(), negate):
+            amp = v.amplitudes[i]
+            if amp.is_zero():
                 continue
-            w = op.matrix.weight(h, n - 1 - p)
             term = w * amp
-            if op.fermionic and bits.parity_below(code, bit):
-                term = -term
-            j = bisect_left(dst, code | bit)
-            out[j] = out[j] + term
-    return LevelVector(n, h + 1, out)
-
-
-def _apply_closing_exact(op: SpinOperator, v: LevelVector) -> ExactComplex:
-    n = op.n
-    src = bits.level_codes_list(n, n - 1)
-    full = (1 << n) - 1
-    total = EXACT_ZERO
-    for i, code in enumerate(src):
-        rem = full ^ code
-        p = rem.bit_length() - 1
-        term = op.matrix.weight(n - 1, n - 1 - p) * v.amplitudes[i]
-        if op.fermionic and bits.parity_below(code, rem):
-            term = -term
-        total = total + term
-    return total
+            out[j] = out[j] - term if neg else out[j] + term
+    return out
 
 
 def evaluate(op: SpinOperator):
@@ -316,19 +302,15 @@ def dense_operator(op: SpinOperator) -> np.ndarray:
     full = (1 << n) - 1
     dense = np.zeros((dim, dim), dtype=np.complex128)
     w = op.matrix.to_array()
-    for h in range(n):
-        for code in bits.level_codes_list(n, h):
-            for p in range(n):
-                bit = 1 << p
-                if code & bit:
-                    continue
-                weight = w[h, n - 1 - p]
-                if op.fermionic and bits.parity_below(code, bit):
-                    weight = -weight
-                target = code | bit
-                if op.variant == "breve" and h == n - 1:
-                    target = 0
-                dense[target, code] = weight
+    codes = np.arange(dim, dtype=np.int64)  # so a position is its own code
+    levels = np.bitwise_count(codes)
+    for p, src, raised, odd in bits.raise_edges(codes, n, op.fermionic):
+        weights = w[levels[src], n - 1 - p]
+        if op.fermionic:
+            weights = np.where(odd, -weights, weights)
+        if op.variant == "breve":
+            raised[raised == full] = 0
+        dense[raised, src] = weights
     if op.variant == "tilde":
         dense[0, full] = 1.0
     return dense

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .bench import ryser_op_count
 from .errors import SpinpermError
 from .graph import count_paths, graph_from_operator, graph_from_reduction, path_sum

@@ -111,14 +111,17 @@ class SpectrumReport:
         }
 
 
-def _power_nullities(dense: np.ndarray, max_power: int) -> list[int]:
-    """Nullity of dense**m for m = 1..max_power."""
-    out = []
+def _kernel_ranks(dense: np.ndarray, n: int) -> list[int]:
+    """``nullity(D**m) - nullity(D**(m-1))`` for m = 1..max(n-1, 1)."""
+    ranks = []
     power = np.eye(dense.shape[0], dtype=np.complex128)
-    for _ in range(max_power):
+    prev = 0
+    for _ in range(max(n - 1, 1)):
         power = power @ dense
-        out.append(rref.nullity(power))
-    return out
+        nul = rref.nullity(power)
+        ranks.append(nul - prev)
+        prev = nul
+    return ranks
 
 
 def generalized_kernel_ranks(op: SpinOperator) -> list[int]:
@@ -131,14 +134,7 @@ def generalized_kernel_ranks(op: SpinOperator) -> list[int]:
     P, _ = evaluate(op)
     if complex(P) == 0:
         raise ZeroPermanentError("generalized kernel ranks assume a nonzero value")
-    dense = dense_operator(op)
-    nullities = _power_nullities(dense, max(op.n - 1, 1))
-    ranks = []
-    prev = 0
-    for nul in nullities:
-        ranks.append(nul - prev)
-        prev = nul
-    return ranks
+    return _kernel_ranks(dense_operator(op), op.n)
 
 
 def verify_spectrum(op: SpinOperator, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumReport:
@@ -181,11 +177,7 @@ def verify_spectrum(op: SpinOperator, tol: float = DEFAULT_RESIDUAL_TOL) -> Spec
     stable = np.linalg.matrix_power(dense, period)
     report.rank = rref.matrix_rank(stable)
     report.nullity = dim - report.rank
-    nullities = _power_nullities(dense, max(op.n - 1, 1))
-    prev = 0
-    for nul in nullities:
-        report.generalized_kernel_ranks.append(nul - prev)
-        prev = nul
+    report.generalized_kernel_ranks = _kernel_ranks(dense, op.n)
     if report.rank + report.nullity != dim:
         raise SpectralMismatchError("rank + nullity does not match the dimension")
     if report.rank != period:

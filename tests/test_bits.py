@@ -41,3 +41,23 @@ def test_parity_below():
     assert bits.parity_below(0b0110, 0b1000) == 0
     assert bits.parity_below(0b0110, 0b0001) == 0
     assert bits.parity_below(0b0010, 0b1000) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("fermionic", [False, True])
+def test_raise_edges_matches_scalar_rule(n, fermionic):
+    for codes in [bits.level_codes(n, h) for h in range(n + 1)] + [np.arange(1 << n)]:
+        seen = []
+        for p, pos, raised, odd in bits.raise_edges(codes, n, fermionic):
+            bit = 1 << p
+            expected = [i for i, c in enumerate(codes.tolist()) if not c & bit]
+            assert pos.tolist() == expected
+            assert raised.tolist() == [int(codes[i]) | bit for i in expected]
+            if fermionic:
+                assert odd.tolist() == [
+                    bits.parity_below(int(codes[i]), bit) == 1 for i in expected
+                ]
+            else:
+                assert odd is None
+            seen.append(p)
+        assert seen == list(range(n))

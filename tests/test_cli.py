@@ -107,6 +107,25 @@ def test_graph_reduced_round(runner):
     assert len(doc["edges"]) == 3
 
 
+@pytest.mark.parametrize("command", ["spectrum", "reduce", "graph"])
+def test_float_only_commands_reject_exact_backend(runner, command):
+    result = runner.invoke(
+        main, [command, "--gen", "n=3,seed=1,kind=zero_one", "--backend", "exact"]
+    )
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.splitlines()[-1])
+    assert err["error"] == "input"
+    assert "--backend exact" in err["message"]
+
+
+def test_reduce_rejects_tilde_variant(runner):
+    result = runner.invoke(main, ["reduce", "--gen", "n=3,seed=1", "--variant", "tilde"])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.splitlines()[-1])
+    assert err["error"] == "input"
+    assert "breve" in err["message"]
+
+
 def test_missing_input_is_input_error(runner):
     result = runner.invoke(main, ["perm"])
     assert result.exit_code == 2

@@ -52,6 +52,8 @@ def test_jw_sign_examples():
 def test_jw_sign_occupied():
     with pytest.raises(OccupiedSiteError):
         jw_sign(BasisState.from_text("010"), 1)
+    with pytest.raises(RangeError):
+        jw_sign(BasisState.from_text("010"), 3)
 
 
 def test_apply_level_from_vacuum(m3):
@@ -289,6 +291,19 @@ def test_evaluate_exact_backend():
     assert count.total == 5 * 2**5
     ferm, _ = evaluate(SpinOperator(m, "breve", "fermionic"))
     assert ferm == determinant_gauss(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("variant", ["breve", "tilde"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_exact_level_vectors_match_float(n, variant, statistics):
+    # 0/1 entries keep every float amplitude an exactly representable integer
+    exact = SpinOperator(random_matrix(n, n, "zero_one", backend="exact"), variant, statistics)
+    flt = SpinOperator(random_matrix(n, n, "zero_one"), variant, statistics)
+    for p in range(n + 1):
+        ve, vf = operator_power_on_zero(exact, p), operator_power_on_zero(flt, p)
+        assert ve.is_exact and ve.level == vf.level
+        assert [complex(a) for a in ve.amplitudes] == list(vf.amplitudes)
 
 
 def test_level_vector_length_checked():
