@@ -8,7 +8,10 @@ Two integer encodings of an occupation string coexist:
   package are sorted by ascending ``code``, which makes dense matrices line
   up with labels sorted as binary numbers (``000 < 001 < 010 < ...``).
 
-``raise_edges`` is the one definition of the operator's raising rule.
+``level_codes`` enumerates one Hamming level with Pascal's rule, one bit at
+a time (Knuth, TAOCP 4A §7.2.1.3): O(n·h) numpy calls per level, no
+recursion.  ``raise_edges`` is the one definition of the operator's raising
+rule.
 """
 
 from __future__ import annotations
@@ -62,18 +65,24 @@ def code_to_mask(code: int, n: int) -> int:
 def level_codes(n: int, h: int) -> np.ndarray:
     """All weight-h codes on n bits, ascending.
 
-    Split on the top bit: codes without it keep their order below the ones
-    that carry it, so the concatenation stays sorted.
+    Pascal's rule, one bit at a time: the weight-k codes on the low m bits
+    are the weight-k codes on m-1 bits, then the weight-(k-1) codes with bit
+    m-1 set.  Every code of the first part is below every code of the
+    second, so the concatenation stays sorted.  Only the weights that can
+    still reach h with the n-m bits left are kept.
     """
     if h < 0 or h > n:
         return np.empty(0, dtype=_LEVEL_DTYPE)
-    if h == 0:
-        return np.zeros(1, dtype=_LEVEL_DTYPE)
-    if h == n:
-        return np.array([(1 << n) - 1], dtype=_LEVEL_DTYPE)
-    low = level_codes(n - 1, h)
-    high = level_codes(n - 1, h - 1) + (1 << (n - 1))
-    return np.concatenate([low, high])
+    empty = np.empty(0, dtype=_LEVEL_DTYPE)
+    by_weight = {0: np.zeros(1, dtype=_LEVEL_DTYPE)}  # weight -> codes on m bits
+    for m in range(1, n + 1):
+        bit = 1 << (m - 1)
+        by_weight = {
+            k: np.concatenate([by_weight.get(k, empty), by_weight[k - 1] | bit])
+            if k else by_weight[0]
+            for k in range(max(0, h - (n - m)), min(m, h) + 1)
+        }
+    return by_weight[h]
 
 
 def level_codes_list(n: int, h: int) -> list[int]:

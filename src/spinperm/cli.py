@@ -329,6 +329,9 @@ def graph(input_path, gen_spec, backend, variant, statistics, tol, output, forma
     try:
         config = _build_config("graph", input_path, gen_spec, backend, variant,
                                statistics, tol, output, format)
+        if round_ is not None and config.variant != "breve":
+            raise ParseError("graph --round draws a reduction, defined for the breve "
+                             "variant only")
         matrix = _load_matrix(config)
     except (ParseError, ValueError) as exc:
         _fail(EXIT_INPUT, "input", str(exc))
@@ -337,9 +340,7 @@ def graph(input_path, gen_spec, backend, variant, statistics, tol, output, forma
         if round_ is None:
             g = graph_from_operator(op)
         else:
-            trace = reduce_fully(SpinOperator(matrix.to_float(), "breve",
-                                              config.statistics))
-            g = graph_from_reduction(trace, round_)
+            g = graph_from_reduction(reduce_fully(op), round_)
     except SpinpermError as exc:
         _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
     if config.format == "json":

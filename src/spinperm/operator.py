@@ -146,11 +146,17 @@ class SpinOperator:
 
 @dataclass
 class LevelVector:
-    """Amplitudes over all weight-``level`` states, ascending code order."""
+    """Amplitudes over all weight-``level`` states, ascending code order.
+
+    ``codes`` holds those states' codes once they are built; a sweep hands
+    each step's destination codes to the vector it returns, so every level
+    is enumerated once.  Left ``None``, they are built on first use.
+    """
 
     n: int
     level: int
     amplitudes: object = field(default=None)
+    codes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         expected = bits.binom(self.n, self.level)
@@ -160,6 +166,11 @@ class LevelVector:
             raise ValueError(
                 f"level {self.level} of n={self.n} needs {expected} amplitudes, "
                 f"got {len(self.amplitudes)}"
+            )
+        if self.codes is not None and len(self.codes) != expected:
+            raise ValueError(
+                f"level {self.level} of n={self.n} needs {expected} codes, "
+                f"got {len(self.codes)}"
             )
 
     @classmethod
@@ -171,6 +182,12 @@ class LevelVector:
     @property
     def is_exact(self) -> bool:
         return isinstance(self.amplitudes, list)
+
+
+def _level_codes(v: LevelVector, kernel: str | None = None) -> np.ndarray:
+    if v.codes is None:
+        v.codes = _kernels.level_codes(v.n, v.level, kernel)
+    return v.codes
 
 
 def _wbits_row(op: SpinOperator, h: int) -> np.ndarray:
@@ -194,14 +211,14 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
     if count is not None:
         count.tally_edges(bits.binom(n, h) * (n - h))
     kernel = _kernels.kernel_name()
-    src = _kernels.level_codes(n, h, kernel)
+    src = _level_codes(v, kernel)
     dst = _kernels.level_codes(n, h + 1, kernel)
     if v.is_exact:
-        return LevelVector(n, h + 1, _raise_exact(op, v, src, dst))
+        return LevelVector(n, h + 1, _raise_exact(op, v, src, dst), dst)
     out = _kernels.apply_level(
         src, dst, np.asarray(v.amplitudes), _wbits_row(op, h), op.fermionic, kernel
     )
-    return LevelVector(n, h + 1, out)
+    return LevelVector(n, h + 1, out, dst)
 
 
 def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None):
@@ -218,7 +235,7 @@ def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None
     if count is not None:
         count.tally_edges(n)
     kernel = _kernels.kernel_name()
-    src = _kernels.level_codes(n, n - 1, kernel)
+    src = _level_codes(v, kernel)
     full = (1 << n) - 1
     if v.is_exact:
         return _raise_exact(op, v, src, np.array([full]))[0]
@@ -319,9 +336,8 @@ def dense_operator(op: SpinOperator) -> np.ndarray:
 def embed_level_vector(v: LevelVector, dimension: int) -> np.ndarray:
     """Place a level vector into the dense basis (index = code)."""
     out = np.zeros(dimension, dtype=np.complex128)
-    codes = bits.level_codes(v.n, v.level)
     amps = v.amplitudes
     if v.is_exact:
         amps = np.array([complex(a) for a in amps])
-    out[codes] = amps
+    out[_level_codes(v)] = amps
     return out

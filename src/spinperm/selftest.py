@@ -13,6 +13,12 @@ from .oracles import determinant_gauss, permanent_naive, permanent_ryser
 from .reduction import fermionic_matches_gaussian, reduce_fully
 from .spectral import generalized_kernel_ranks, verify_spectrum
 
+# Round-1 fill-in of the n=4 bosonic reduction, (reweighted, unchanged, new)
+# over 24 nonzero entries.  The derivation is in the docstring of
+# tests/test_acceptance.py::test_criterion_7b_bosonic_reduction_n4_fill_stats.
+N4_BOSONIC_FILL_STATS = (6, 10, 8)
+N4_BOSONIC_FILL_ENTRIES = 24
+
 
 def _rel(a, b) -> float:
     a, b = complex(a), complex(b)
@@ -108,7 +114,7 @@ def _check_bosonic_reduction() -> str | None:
     m4 = random_matrix(4, 9, "complex_gaussian")
     trace4 = reduce_fully(SpinOperator(m4, "breve", "bosonic"))
     stats = trace4.rounds[0].fill_stats
-    if stats != (6, 10, 8) or sum(stats) != 24:
+    if stats != N4_BOSONIC_FILL_STATS or sum(stats) != N4_BOSONIC_FILL_ENTRIES:
         return f"n=4 round-1 fill stats {stats} (total {sum(stats)})"
     return None
 

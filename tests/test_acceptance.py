@@ -22,6 +22,7 @@ from spinperm.bench import ryser_op_count
 from spinperm.graph import count_paths, graph_from_operator, graph_from_reduction, path_sum
 from spinperm.operator import dense_operator
 from spinperm.reduction import fermionic_matches_gaussian, reduce_fully
+from spinperm.selftest import N4_BOSONIC_FILL_ENTRIES, N4_BOSONIC_FILL_STATS
 from spinperm.spectral import (
     build_eigenvector,
     generalized_kernel_ranks,
@@ -247,8 +248,8 @@ def test_criterion_7b_bosonic_reduction_n4_fill_stats():
                 assert np.max(np.abs(v - x)) <= 1e-12 * np.max(np.abs(x))
 
             stats = round1.fill_stats
-            assert stats == (6, 10, 8), f"fill stats {stats}"
-            assert sum(stats) == 24
+            assert stats == N4_BOSONIC_FILL_STATS, f"fill stats {stats}"
+            assert sum(stats) == N4_BOSONIC_FILL_ENTRIES
 
             old, new = _edges(trace.initial), _edges(round1)
             kept = {s.text for s in round1.basis}

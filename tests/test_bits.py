@@ -26,6 +26,17 @@ def test_level_codes_sorted_and_complete(n, h):
     assert all(int(c).bit_count() == h for c in codes)
 
 
+@pytest.mark.parametrize("n", range(15))
+def test_level_codes_match_brute_force(n):
+    by_weight = {h: [] for h in range(-1, n + 2)}
+    for c in range(1 << n):
+        by_weight[c.bit_count()].append(c)
+    for h, expected in by_weight.items():
+        codes = bits.level_codes(n, h)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == expected
+
+
 def test_level_codes_list_matches_array():
     assert bits.level_codes_list(5, 2) == [int(c) for c in bits.level_codes(5, 2)]
 

@@ -126,6 +126,16 @@ def test_reduce_rejects_tilde_variant(runner):
     assert "breve" in err["message"]
 
 
+def test_graph_round_rejects_tilde_variant(runner):
+    result = runner.invoke(
+        main, ["graph", "--gen", "n=3,seed=1", "--variant", "tilde", "--round", "1"]
+    )
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.splitlines()[-1])
+    assert err["error"] == "input"
+    assert "breve" in err["message"]
+
+
 def test_missing_input_is_input_error(runner):
     result = runner.invoke(main, ["perm"])
     assert result.exit_code == 2

@@ -24,7 +24,7 @@ from spinperm import (
     random_matrix,
     spin_op_count,
 )
-from spinperm import bits
+from spinperm import _kernels, bits
 from spinperm.operator import embed_level_vector
 
 
@@ -309,3 +309,44 @@ def test_exact_level_vectors_match_float(n, variant, statistics):
 def test_level_vector_length_checked():
     with pytest.raises(ValueError):
         LevelVector(3, 1, np.ones(2, dtype=np.complex128))
+    with pytest.raises(ValueError):
+        LevelVector(3, 1, np.ones(3, dtype=np.complex128), bits.level_codes(3, 0))
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("variant", ["breve", "tilde"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_evaluate_builds_each_level_once(monkeypatch, backend, variant, statistics):
+    built = []
+    level_codes = _kernels.level_codes
+
+    def counting(n, h, kernel=None):
+        built.append(h)
+        return level_codes(n, h, kernel)
+
+    monkeypatch.setattr(_kernels, "level_codes", counting)
+    n = 6
+    op = SpinOperator(random_matrix(n, n, "zero_one", backend=backend), variant, statistics)
+    evaluate(op)
+    assert len(built) <= (n if variant == "breve" else n + 1)
+    assert sorted(built) == sorted(set(built))
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_level_vector_without_codes_applies_the_same(backend, statistics):
+    n = 5
+    op = SpinOperator(random_matrix(n, 7, "zero_one", backend=backend), "breve", statistics)
+    for p in (0, 2, n - 1):
+        swept = operator_power_on_zero(op, p)
+        by_hand = LevelVector(n, p, list(swept.amplitudes) if swept.is_exact
+                              else swept.amplitudes.copy())
+        assert by_hand.codes is None
+        if p < n - 1:
+            a, b = apply_level(op, swept), apply_level(op, by_hand)
+            assert list(a.amplitudes) == list(b.amplitudes)
+            assert np.array_equal(a.codes, b.codes)
+        else:
+            assert apply_closing(op, swept) == apply_closing(op, by_hand)
+        assert np.array_equal(by_hand.codes, bits.level_codes(n, p))
+        assert np.array_equal(swept.codes, by_hand.codes)

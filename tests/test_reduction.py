@@ -21,6 +21,7 @@ from spinperm.reduction import (
     kernel_basis,
     reduce_fully,
 )
+from spinperm.selftest import N4_BOSONIC_FILL_ENTRIES, N4_BOSONIC_FILL_STATS
 from spinperm.spectral import build_eigenvector, principal_root
 
 
@@ -117,10 +118,9 @@ def test_factor_round_bosonic_n4():
     m = random_matrix(4, 9, "complex_gaussian")
     state = factor_round(initial_state(SpinOperator(m, "breve", "bosonic")))
     assert texts_of(state.removed) == ["0011", "0101", "0111", "1011", "1101"]
-    # the closed-form kernel forces 24 entries; derivation in the docstring of
-    # tests/test_acceptance.py::test_criterion_7b_bosonic_reduction_n4_fill_stats
-    assert state.fill_stats == (6, 10, 8)
-    assert sum(state.fill_stats) == 24
+    # the closed-form kernel forces these figures; see their definition
+    assert state.fill_stats == N4_BOSONIC_FILL_STATS
+    assert sum(state.fill_stats) == N4_BOSONIC_FILL_ENTRIES
 
 
 def test_reduce_fully_fermionic(m3):
