@@ -1,12 +1,11 @@
-"""Occupancy bitstring helpers: masks, display codes, and per-level indexing.
+"""Occupancy bitstring helpers: codes and per-level indexing.
 
-Two integer encodings of an occupation string coexist:
-
-* ``mask``: bit ``b`` (value ``2**b``) holds the occupation of site ``b``.
-* ``code``: the rendered label (site 0 leftmost) read as a binary number,
-  i.e. site ``s`` occupies bit ``n-1-s``.  All basis enumerations in this
-  package are sorted by ascending ``code``, which makes dense matrices line
-  up with labels sorted as binary numbers (``000 < 001 < 010 < ...``).
+An occupation string is held as one integer, its ``code``: the rendered
+label (site 0 leftmost) read as a binary number, i.e. site ``s`` occupies
+bit ``n-1-s``.  Text labels are made only at the edges (``BasisState.text``).
+All basis enumerations in this package are sorted by ascending ``code``,
+which makes dense matrices line up with labels sorted as binary numbers
+(``000 < 001 < 010 < ...``).
 
 ``level_codes`` enumerates one Hamming level with Pascal's rule, one bit at
 a time (Knuth, TAOCP 4A §7.2.1.3): O(n·h) numpy calls per level, no
@@ -30,38 +29,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def reverse_bits(x: int, n: int) -> int:
-    """Reverse the low n bits of x (mask <-> code conversion)."""
-    out = 0
-    for b in range(n):
-        if x >> b & 1:
-            out |= 1 << (n - 1 - b)
-    return out
-
-
-def mask_to_text(mask: int, n: int) -> str:
-    """Render with site 0 as the leftmost character."""
-    return "".join("1" if mask >> s & 1 else "0" for s in range(n))
-
-
-def text_to_mask(text: str) -> int:
-    mask = 0
-    for s, ch in enumerate(text):
-        if ch == "1":
-            mask |= 1 << s
-        elif ch != "0":
-            raise ValueError(f"invalid occupation string {text!r}")
-    return mask
-
-
-def mask_to_code(mask: int, n: int) -> int:
-    return reverse_bits(mask, n)
-
-
-def code_to_mask(code: int, n: int) -> int:
-    return reverse_bits(code, n)
-
-
 def level_codes(n: int, h: int) -> np.ndarray:
     """All weight-h codes on n bits, ascending.
 
@@ -83,11 +50,6 @@ def level_codes(n: int, h: int) -> np.ndarray:
             for k in range(max(0, h - (n - m)), min(m, h) + 1)
         }
     return by_weight[h]
-
-
-def level_codes_list(n: int, h: int) -> list[int]:
-    """Python-int variant of level_codes for the exact backend."""
-    return [int(c) for c in level_codes(n, h)]
 
 
 def rank_in_level(code: int, n: int) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import sys
@@ -66,6 +67,18 @@ class RunConfig:
 def _fail(code: int, kind: str, message: str):
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     sys.exit(code)
+
+
+def _require_finite(name: str, *values) -> None:
+    """Exit 1 when a result has no finite double-precision value."""
+    for value in values:
+        try:
+            finite = cmath.isfinite(complex(value))
+        except OverflowError:  # an exact value beyond the float range
+            finite = False
+        if not finite:
+            _fail(EXIT_VERIFICATION, "non_finite",
+                  f"{name} is not finite in double precision")
 
 
 def _parse_gen(spec: str) -> dict:
@@ -182,6 +195,7 @@ def perm(input_path, gen_spec, backend, variant, tol, output, format):
         value, count = evaluate(SpinOperator(matrix, config.variant, "bosonic"))
     except SpinpermError as exc:
         _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
+    _require_finite("permanent", value)
     if config.format == "json":
         _emit(config, json.dumps({
             "permanent": format_complex(value),
@@ -217,6 +231,7 @@ def det(input_path, gen_spec, backend, variant, tol, output, format):
         reference = determinant_gauss(matrix)
     except SpinpermError as exc:
         _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
+    _require_finite("determinant", value, reference)
     rel = abs(complex(value) - complex(reference)) / max(
         abs(complex(value)), abs(complex(reference)), 1e-300
     )
@@ -230,7 +245,7 @@ def det(input_path, gen_spec, backend, variant, tol, output, format):
         _emit(config, json.dumps(payload) + "\n")
     else:
         _emit(config, "".join(f"{k} = {v}\n" for k, v in payload.items()))
-    if rel > tol_value:
+    if not rel <= tol_value:
         _fail(EXIT_VERIFICATION, "verification",
               f"sweep and elimination disagree (rel {rel:.3e} > {tol_value:.3e})")
 
@@ -376,7 +391,7 @@ def bench(min_n, max_n, repeats, seed, compare_kernels, output):
 
 @main.command()
 def selftest():
-    """Run the invariant suites at n <= 6 and report pass/fail per check."""
+    """Run acceptance criteria 1-8 and print one PASS/FAIL line per criterion."""
     ok = run_selftest(emit=click.echo)
     sys.exit(EXIT_OK if ok else EXIT_VERIFICATION)
 

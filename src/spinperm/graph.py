@@ -17,12 +17,11 @@ from .errors import RangeError, SizeGuardError
 from .matrix import format_complex
 from .operator import SpinOperator
 from .oracles import lower_triangular_reduce
-from .reduction import ReductionTrace
+from .reduction import UNCHANGED_REL_TOL, ReductionTrace, _nonzero_eps
 
 GRAPH_MAX_N = 12
 PATHSUM_MAX_N = 7
 _LABEL_MATCH_RTOL = 1e-9
-_UNCHANGED_RTOL = 1e-12
 
 SINK_ID = "sink"
 
@@ -196,7 +195,7 @@ def _symbolic_candidates(op: SpinOperator) -> list[tuple[str, complex]]:
 
 def _reduced_display(value: complex, original: complex | None, original_label: str | None,
                      candidates: list[tuple[str, complex]]) -> str:
-    if original is not None and abs(value - original) <= _UNCHANGED_RTOL * max(
+    if original is not None and abs(value - original) <= UNCHANGED_REL_TOL * max(
         abs(value), abs(original)
     ):
         return original_label
@@ -226,8 +225,7 @@ def graph_from_reduction(trace: ReductionTrace, round: int) -> AbpGraph:
     for s in basis:
         nodes.append(AbpNode(_node_id(s.code), s.text, s.level))
     edges = []
-    eps = 1e-9 * float(np.max(np.abs(state.operator)))
-    for t, s in zip(*np.nonzero(np.abs(state.operator) > eps)):
+    for t, s in zip(*np.nonzero(np.abs(state.operator) > _nonzero_eps(state.operator))):
         src, dst = basis[s], basis[t]
         src_id = _node_id(src.code)
         dst_id = SINK_ID if dst.level == 0 and src.level == n - 1 else _node_id(dst.code)

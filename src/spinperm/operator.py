@@ -37,36 +37,29 @@ DENSE_MAX_N = 12
 
 @dataclass(frozen=True)
 class BasisState:
-    """Occupation string; bit b of ``mask`` is the occupation of site b."""
+    """Occupation string stored as its ``code``: the label read as a binary number."""
 
-    mask: int
+    code: int
     n: int
 
     def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for n={self.n}")
+        if not 0 <= self.code < (1 << self.n):
+            raise ValueError(f"code {self.code} out of range for n={self.n}")
 
     @property
     def level(self) -> int:
-        return self.mask.bit_count()
+        return self.code.bit_count()
 
     @property
     def text(self) -> str:
         """Rendered label, site 0 leftmost."""
-        return bits.mask_to_text(self.mask, self.n)
-
-    @property
-    def code(self) -> int:
-        """The label read as a binary number; basis sort key."""
-        return bits.mask_to_code(self.mask, self.n)
+        return format(self.code, f"0{self.n}b")
 
     @classmethod
     def from_text(cls, text: str) -> "BasisState":
-        return cls(bits.text_to_mask(text), len(text))
-
-    @classmethod
-    def from_code(cls, code: int, n: int) -> "BasisState":
-        return cls(bits.code_to_mask(code, n), n)
+        if not text or set(text) - {"0", "1"}:
+            raise ValueError(f"invalid occupation string {text!r}")
+        return cls(int(text, 2), len(text))
 
 
 def jw_sign(state: BasisState, site: int) -> int:

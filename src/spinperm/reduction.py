@@ -112,7 +112,7 @@ def initial_state(op: SpinOperator) -> ReductionState:
     n = op.n
     if n > REDUCE_MAX_N:
         raise SizeGuardError(f"row reduction limited to n <= {REDUCE_MAX_N}")
-    basis = [BasisState.from_code(code, n) for code in range(op.dimension)]
+    basis = [BasisState(code, n) for code in range(op.dimension)]
     return ReductionState(round=0, operator=dense_operator(op), basis=basis)
 
 

@@ -1,21 +1,43 @@
-"""Desk-scale self-verification: the acceptance checks capped at n <= 6."""
+"""The acceptance criteria, one table of checks.
+
+``CHECKS`` maps each criterion to a check that returns nothing when the claim
+holds and raises ``ConsistencyError`` with a message when it does not.
+``spinperm selftest`` runs the table, and ``tests/test_acceptance.py`` runs
+each entry as one test.  Criterion 9, the n=24 scale demonstration, is a
+timing run rather than an invariant and lives in the tests only.
+"""
 
 from __future__ import annotations
 
 import math
+import time
 
+import numpy as np
+
+from . import rref
 from .bench import ryser_op_count
-from .errors import SpinpermError
+from .errors import ConsistencyError, SpinpermError
 from .graph import count_paths, graph_from_operator, graph_from_reduction, path_sum
 from .matrix import random_matrix
-from .operator import SpinOperator, evaluate, spin_op_count
+from .operator import SpinOperator, dense_operator, evaluate, spin_op_count
 from .oracles import determinant_gauss, permanent_naive, permanent_ryser
-from .reduction import fermionic_matches_gaussian, reduce_fully
-from .spectral import generalized_kernel_ranks, verify_spectrum
+from .reduction import (
+    UNCHANGED_REL_TOL,
+    _nonzero_eps,
+    fermionic_matches_gaussian,
+    reduce_fully,
+)
+from .spectral import (
+    block_decompose,
+    build_eigenvector,
+    generalized_kernel_ranks,
+    principal_root,
+    verify_spectrum,
+)
 
 # Round-1 fill-in of the n=4 bosonic reduction, (reweighted, unchanged, new)
 # over 24 nonzero entries.  The derivation is in the docstring of
-# tests/test_acceptance.py::test_criterion_7b_bosonic_reduction_n4_fill_stats.
+# criterion_7b.
 N4_BOSONIC_FILL_STATS = (6, 10, 8)
 N4_BOSONIC_FILL_ENTRIES = 24
 
@@ -25,140 +47,277 @@ def _rel(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _check_oracle_triangle(statistics: str) -> str | None:
-    for n in range(2, 7):
-        for seed in range(3):
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ConsistencyError(message)
+
+
+def _within(start: float, bound_s: float) -> None:
+    elapsed = time.perf_counter() - start
+    _require(elapsed < bound_s, f"took {elapsed:.1f} s, bound {bound_s:.0f} s")
+
+
+def criterion_1() -> None:
+    """Permanent oracle triangle: sweep = Ryser = naive, float and exact."""
+    start = time.perf_counter()
+    for n in range(2, 9):
+        for seed in range(20):
             m = random_matrix(n, seed, "complex_gaussian")
-            spin, _ = evaluate(SpinOperator(m, "breve", statistics))
-            if statistics == "bosonic":
-                ry = permanent_ryser(m)
-                nv = permanent_naive(m)
-                if _rel(spin, ry) > 1e-11 or _rel(spin, nv) > 1e-11:
-                    return f"mismatch at n={n} seed={seed}"
-            else:
-                det = determinant_gauss(m)
-                if _rel(spin, det) > 1e-11:
-                    return f"mismatch at n={n} seed={seed}"
-    if statistics == "bosonic":
-        for n in range(2, 6):
-            m = random_matrix(n, n, "zero_one", backend="exact")
             spin, _ = evaluate(SpinOperator(m, "breve", "bosonic"))
-            if not (spin == permanent_ryser(m) == permanent_naive(m)):
-                return f"exact mismatch at n={n}"
-    return None
+            _require(_rel(spin, permanent_ryser(m)) <= 1e-11
+                     and _rel(spin, permanent_naive(m)) <= 1e-11,
+                     f"float mismatch at n={n} seed={seed}")
+    for n in range(2, 9):
+        for seed in range(20):
+            m = random_matrix(n, seed, "zero_one", backend="exact")
+            spin, _ = evaluate(SpinOperator(m, "breve", "bosonic"))
+            _require(spin == permanent_ryser(m) == permanent_naive(m),
+                     f"exact mismatch at n={n} seed={seed}")
+    _within(start, 10.0)
 
 
-def _check_op_counts() -> str | None:
-    for n in range(1, 7):
+def criterion_2() -> None:
+    """Determinant oracle triangle: fermionic sweep = elimination."""
+    start = time.perf_counter()
+    for n in range(2, 9):
+        for seed in range(20):
+            m = random_matrix(n, seed, "complex_gaussian")
+            spin, _ = evaluate(SpinOperator(m, "breve", "fermionic"))
+            _require(_rel(spin, determinant_gauss(m)) <= 1e-11,
+                     f"mismatch at n={n} seed={seed}")
+    _within(start, 10.0)
+
+
+def criterion_3() -> None:
+    """Operation counts n=1..20: n*2**n for the sweep, Ryser's closed form."""
+    for n in range(1, 21):
         m = random_matrix(n, 0, "complex_gaussian")
         _, count = evaluate(SpinOperator(m, "breve", "bosonic"))
-        if count.total != n * 2**n or count.total != spin_op_count(n).total:
-            return f"spin count {count.total} != {n * 2 ** n} at n={n}"
-        if ryser_op_count(n).total != n * 2 ** (n + 1) - (n + 1) ** 2:
-            return f"ryser count off at n={n}"
-    return None
+        _require(count.total == n * 2**n == spin_op_count(n).total,
+                 f"spin count {count.total} != {n * 2 ** n} at n={n}")
+        _require(ryser_op_count(n).total == n * 2 ** (n + 1) - (n + 1) ** 2,
+                 f"ryser count off at n={n}")
 
 
-def _check_spectrum() -> str | None:
-    for n in (3, 4):
-        for seed in range(2):
-            m = random_matrix(n, seed, "complex_gaussian")
-            for stats in ("bosonic", "fermionic"):
-                rep = verify_spectrum(SpinOperator(m, "breve", stats), tol=1e-8)
-                if rep.rank != n or rep.nullity != 2**n - 1 - n:
-                    return f"rank/nullity off at n={n} {stats}"
-    return None
-
-
-def _check_kernel_ranks() -> str | None:
-    m3 = random_matrix(3, 1, "complex_gaussian")
-    m4 = random_matrix(4, 1, "complex_gaussian")
-    if generalized_kernel_ranks(SpinOperator(m3, "breve", "bosonic")) != [2, 2]:
-        return "bosonic n=3 ranks"
-    if generalized_kernel_ranks(SpinOperator(m3, "breve", "fermionic")) != [3, 1]:
-        return "fermionic n=3 ranks"
-    if generalized_kernel_ranks(SpinOperator(m4, "breve", "bosonic"))[0] != 5:
-        return "bosonic n=4 r1"
+def criterion_4() -> None:
+    """Spectral claims: eigenpairs, rank n, nullity, rank-1 power blocks."""
+    start = time.perf_counter()
     for n in (3, 4, 5):
-        m = random_matrix(n, 2, "complex_gaussian")
-        for stats in ("bosonic", "fermionic"):
-            ranks = generalized_kernel_ranks(SpinOperator(m, "breve", stats))
-            if n + sum(ranks) != 2**n - 1:
-                return f"rank-nullity sum at n={n} {stats}"
-    return None
+        for seed in range(5):
+            m = random_matrix(n, seed, "complex_gaussian")
+            op = SpinOperator(m, "breve", "bosonic")
+            P, _ = evaluate(op)
+            dense = dense_operator(op)
+            root = principal_root(complex(P), n)
+            for k in range(n):
+                phi = build_eigenvector(op, k, P)
+                lam = np.exp(-2j * np.pi * k / n) * root
+                resid = np.linalg.norm(dense @ phi - lam * phi)
+                _require(resid <= 1e-8 * np.linalg.norm(phi) and _rel(lam**n, P) <= 1e-8,
+                         f"eigenpair k={k} at n={n} seed={seed}")
+            for block in block_decompose(op, tol=1e-8):
+                _require(rref.matrix_rank(block) == 1 and _rel(np.trace(block), P) <= 1e-8,
+                         f"power block at n={n} seed={seed}")
+    for n, stats, seeds in ((3, "bosonic", 5), (4, "bosonic", 5), (5, "bosonic", 5),
+                            (3, "fermionic", 2), (4, "fermionic", 2)):
+        for seed in range(seeds):
+            m = random_matrix(n, seed, "complex_gaussian")
+            report = verify_spectrum(SpinOperator(m, "breve", stats), tol=1e-8)
+            _require(report.rank == n and report.nullity == 2**n - 1 - n,
+                     f"rank/nullity at n={n} seed={seed} {stats}")
+    _within(start, 30.0)
 
 
-def _check_fermionic_reduction() -> str | None:
-    rep = fermionic_matches_gaussian(random_matrix(3, 5, "complex_gaussian"))
-    if not rep.ok:
-        return "n=3 entry comparison"
-    for n in range(3, 7):
+def criterion_5() -> None:
+    """Generalized kernel ranks at n=3,4 and the rank-nullity sum."""
+    for seed in range(3):
+        m3 = random_matrix(3, seed, "complex_gaussian")
+        m4 = random_matrix(4, seed, "complex_gaussian")
+        _require(generalized_kernel_ranks(SpinOperator(m3, "breve", "bosonic")) == [2, 2],
+                 f"bosonic n=3 ranks, seed={seed}")
+        _require(generalized_kernel_ranks(SpinOperator(m3, "breve", "fermionic")) == [3, 1],
+                 f"fermionic n=3 ranks, seed={seed}")
+        _require(generalized_kernel_ranks(SpinOperator(m4, "breve", "bosonic"))[0] == 5,
+                 f"bosonic n=4 r1, seed={seed}")
+    for n in (3, 4, 5):
+        for seed in (2, 7):
+            for stats in ("bosonic", "fermionic"):
+                m = random_matrix(n, seed, "complex_gaussian")
+                ranks = generalized_kernel_ranks(SpinOperator(m, "breve", stats))
+                _require(n + sum(ranks) == 2**n - 1,
+                         f"rank-nullity sum at n={n} seed={seed} {stats}")
+
+
+def criterion_6() -> None:
+    """Fermionic kernel removal reproduces Gaussian elimination."""
+    start = time.perf_counter()
+    for seed in range(6):
+        report = fermionic_matches_gaussian(random_matrix(3, seed, "complex_gaussian"))
+        _require(report.ok and all(c["rel_err"] <= 1e-10 for c in report.comparisons),
+                 f"n=3 entry comparison, seed={seed}")
+    for n in range(3, 9):
         m = random_matrix(n, n, "complex_gaussian")
         trace = reduce_fully(SpinOperator(m, "breve", "fermionic"))
-        if _rel(trace.final_product, determinant_gauss(m)) > 1e-9:
-            return f"final product at n={n}"
-    return None
+        _require(_rel(trace.final_product, determinant_gauss(m)) <= 1e-9,
+                 f"final product at n={n}")
+    _within(start, 30.0)
 
 
-def _check_bosonic_reduction() -> str | None:
-    m = random_matrix(3, 5, "complex_gaussian")
-    w = m.entries
-    trace = reduce_fully(SpinOperator(m, "breve", "bosonic"))
-    if _rel(trace.final_product, permanent_ryser(m)) > 1e-9:
-        return "n=3 final product"
-    texts = [s.text for s in trace.rounds[0].basis]
-    x = trace.rounds[0].operator[texts.index("110"), texts.index("001")]
-    x_expected = (w[1, 0] * w[2, 1] + w[1, 1] * w[2, 0]) / w[2, 2]
-    if _rel(x, x_expected) > 1e-10:
-        return "n=3 fill weight"
-    m4 = random_matrix(4, 9, "complex_gaussian")
-    trace4 = reduce_fully(SpinOperator(m4, "breve", "bosonic"))
-    stats = trace4.rounds[0].fill_stats
-    if stats != N4_BOSONIC_FILL_STATS or sum(stats) != N4_BOSONIC_FILL_ENTRIES:
-        return f"n=4 round-1 fill stats {stats} (total {sum(stats)})"
-    return None
-
-
-def _check_graph_oracle() -> str | None:
-    for n in range(2, 6):
-        m = random_matrix(n, 3, "complex_gaussian")
-        for stats in ("bosonic", "fermionic"):
-            op = SpinOperator(m, "breve", stats)
-            g = graph_from_operator(op)
-            value, _ = evaluate(op)
-            if _rel(path_sum(g), value) > 1e-11:
-                return f"path sum at n={n} {stats}"
-            if count_paths(g) != math.factorial(n):
-                return f"path count at n={n}"
+def criterion_7a() -> None:
+    """Bosonic reduction at n=3: the fill weight x and the final product."""
+    for seed in range(6):
+        m = random_matrix(3, seed, "complex_gaussian")
+        w = m.entries
         trace = reduce_fully(SpinOperator(m, "breve", "bosonic"))
-        if count_paths(graph_from_reduction(trace, n - 1)) != 1:
-            return f"reduced path count at n={n}"
-    return None
+        _require(_rel(trace.final_product, permanent_ryser(m)) <= 1e-9,
+                 f"final product, seed={seed}")
+        texts = [s.text for s in trace.rounds[0].basis]
+        x = trace.rounds[0].operator[texts.index("110"), texts.index("001")]
+        x_expected = (w[1, 0] * w[2, 1] + w[1, 1] * w[2, 0]) / w[2, 2]
+        _require(_rel(x, x_expected) <= 1e-10, f"fill weight, seed={seed}")
 
 
-CHECKS = [
-    ("oracle triangle (permanent)", lambda: _check_oracle_triangle("bosonic")),
-    ("oracle triangle (determinant)", lambda: _check_oracle_triangle("fermionic")),
-    ("operation counts", _check_op_counts),
-    ("spectral claims", _check_spectrum),
-    ("generalized kernel ranks", _check_kernel_ranks),
-    ("reduction matches elimination", _check_fermionic_reduction),
-    ("bosonic reduction", _check_bosonic_reduction),
-    ("graph oracle", _check_graph_oracle),
-]
+def _n4_bosonic_kernel(w):
+    """Closed-form round-1 kernel of the n=4 bosonic breve operator.
+
+    Listed in leading-coordinate order; ``e_i ⊗ e_j`` is the state with
+    sites i and j occupied.
+    """
+    def e(label):
+        v = np.zeros(15, dtype=np.complex128)
+        v[int(label, 2)] = 1.0
+        return v
+
+    a, b = w[2, 0] / w[2, 2], w[2, 1] / w[2, 3]
+    c, d = w[2, 0] / w[2, 1], w[2, 2] / w[2, 3]
+    # (e_2 - a e_0) ⊗ (e_3 - b e_1) and (e_1 - c e_0) ⊗ (e_3 - d e_2)
+    v0011 = e("0011") - b * e("0110") - a * e("1001") + a * b * e("1100")
+    v0101 = e("0101") - d * e("0110") - c * e("1001") + c * d * e("1010")
+    # level 3 closes onto the empty state: e_l - w[3, s_l] / w[3, 3] e_1110
+    closing = [
+        e(label) - w[3, site] / w[3, 3] * e("1110")
+        for label, site in (("0111", 0), ("1011", 1), ("1101", 2))
+    ]
+    return [v0011, v0101, *closing]
+
+
+def _edges(state):
+    """Nonzero operator entries keyed by (source, target) label."""
+    op = state.operator
+    labels = [s.text for s in state.basis]
+    return {
+        (labels[s], labels[t]): complex(op[t, s])
+        for t, s in zip(*np.nonzero(np.abs(op) > _nonzero_eps(op)))
+    }
+
+
+N4_REWEIGHTED_EDGES = {
+    ("0010", "0110"), ("0100", "0110"), ("0001", "1001"),
+    ("0110", "1110"), ("1010", "1110"), ("1100", "1110"),
+}
+N4_NEW_EDGES = {
+    ("0001", "0110"), ("0001", "1010"), ("0001", "1100"),
+    ("0010", "1001"), ("0010", "1100"),
+    ("0100", "1001"), ("0100", "1010"),
+    ("1001", "1110"),
+}
+
+
+def criterion_7b() -> None:
+    """Round-1 fill-in at n=4, bosonic: 24 entries, (6, 10, 8).
+
+    With ``w[h, s]`` the weight for raising site s from level h, the kernel
+    in leading-coordinate canonical form is, for generic M,
+
+    - v_0011 = (e_2 - w20/w22 e_0) ⊗ (e_3 - w21/w23 e_1)
+    - v_0101 = (e_1 - w20/w21 e_0) ⊗ (e_3 - w22/w23 e_2)
+    - v_l = e_l - (w[3, s_l]/w33) e_1110 for l in {0111, 1011, 1101},
+      s_l the empty site of l
+
+    so the removed lead states are {0011, 0101, 0111, 1011, 1101}.  From
+    these supports, all 16 old edges among the ten kept states survive in
+    B @ A: 6 are reweighted (those into 0110, 1110 and 0001 -> 1001) and 10
+    are unchanged.  Exactly 8 edges are new: 0001 -> {0110, 1010, 1100},
+    0010 -> {1001, 1100}, 0100 -> {1001, 1010} and 1001 -> 1110.  That is
+    24 entries classified (6, 10, 8).
+
+    Every one of the 48 lead sets that admit a kernel basis gives 24
+    entries: (6, 10, 8) x12, (5, 10, 9) x24, (4, 10, 10) x12, so no removal
+    reaches 23.  The figures (5, 9, 9) with 23 entries sometimes quoted for
+    this round count *distinct weights* per class for a (5, 10, 9) lead set,
+    where two unchanged edges (0010 -> 1010, 0100 -> 1100) both carry
+    w[1, 0].
+    """
+    for seed in range(10):
+        m = random_matrix(4, seed, "complex_gaussian")
+        trace = reduce_fully(SpinOperator(m, "breve", "bosonic"))
+        round1 = trace.rounds[0]
+        removed = [s.text for s in round1.removed]
+        _require(removed == ["0011", "0101", "0111", "1011", "1101"],
+                 f"removed {removed}, seed={seed}")
+        expected = _n4_bosonic_kernel(m.entries)
+        _require(len(round1.kernel_vectors) == len(expected)
+                 and all(np.max(np.abs(v - x)) <= 1e-12 * np.max(np.abs(x))
+                         for v, x in zip(round1.kernel_vectors, expected)),
+                 f"kernel vectors differ from the closed form, seed={seed}")
+
+        stats = round1.fill_stats
+        _require(stats == N4_BOSONIC_FILL_STATS and sum(stats) == N4_BOSONIC_FILL_ENTRIES,
+                 f"fill stats {stats}, seed={seed}")
+
+        old, new = _edges(trace.initial), _edges(round1)
+        kept = {s.text for s in round1.basis}
+        old_kept = {e for e in old if e[0] in kept and e[1] in kept}
+        _require(len(old_kept) == 16 and old_kept <= set(new),
+                 f"old edges among kept states, seed={seed}")
+        _require(set(new) - old_kept == N4_NEW_EDGES, f"new edges, seed={seed}")
+        reweighted = {e for e in old_kept if _rel(new[e], old[e]) > UNCHANGED_REL_TOL}
+        _require(reweighted == N4_REWEIGHTED_EDGES, f"reweighted edges, seed={seed}")
+
+
+def criterion_8() -> None:
+    """Graph oracle: path sum = sweep, n! paths, one path after reduction."""
+    for n in range(2, 7):
+        for seed in sorted({3, n}):
+            m = random_matrix(n, seed, "complex_gaussian")
+            for stats in ("bosonic", "fermionic"):
+                op = SpinOperator(m, "breve", stats)
+                g = graph_from_operator(op)
+                value, _ = evaluate(op)
+                _require(_rel(path_sum(g), value) <= 1e-11,
+                         f"path sum at n={n} seed={seed} {stats}")
+                _require(count_paths(g) == math.factorial(n),
+                         f"path count at n={n} seed={seed} {stats}")
+            trace = reduce_fully(SpinOperator(m, "breve", "bosonic"))
+            _require(count_paths(graph_from_reduction(trace, n - 1)) == 1,
+                     f"reduced path count at n={n} seed={seed}")
+
+
+CHECKS = {
+    "criterion_1": criterion_1,
+    "criterion_2": criterion_2,
+    "criterion_3": criterion_3,
+    "criterion_4": criterion_4,
+    "criterion_5": criterion_5,
+    "criterion_6": criterion_6,
+    "criterion_7a": criterion_7a,
+    "criterion_7b": criterion_7b,
+    "criterion_8": criterion_8,
+}
 
 
 def run_selftest(emit=print) -> bool:
     """Run every check, emit one pass/fail line each, return overall status."""
     all_ok = True
-    for name, check in CHECKS:
+    for name, check in CHECKS.items():
         try:
-            failure = check()
-        except SpinpermError as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        if failure is None:
-            emit(f"PASS {name}")
-        else:
-            emit(f"FAIL {name}: {failure}")
+            check()
+        except ConsistencyError as exc:
+            emit(f"FAIL {name}: {exc}")
             all_ok = False
+        except SpinpermError as exc:  # a package error raised on the way
+            emit(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            all_ok = False
+        else:
+            emit(f"PASS {name}")
     return all_ok

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
 
-from spinperm import bits
+from spinperm import BasisState, bits
 
 
 def test_mask_text_roundtrip():
-    # site 0 is the leftmost character: sites {0, 2} of n=4 render "1010"
-    mask = 0b0101  # bits 0 and 2
-    assert bits.mask_to_text(mask, 4) == "1010"
-    assert bits.text_to_mask("1010") == mask
+    # site 0 is the leftmost character: sites {0, 2} of n=4 render "1010",
+    # and site s occupies code bit n-1-s
+    code = 0b1010  # bits 3 and 1
+    assert BasisState(code, 4).text == "1010"
+    assert BasisState.from_text("1010").code == code
+    for bad in ("1020", "+101", "1_01", ""):
+        with pytest.raises(ValueError):
+            BasisState.from_text(bad)
 
 
 def test_code_is_label_as_binary():
     # "001" (site 2 occupied) reads as the number 1
-    mask = bits.text_to_mask("001")
-    assert bits.mask_to_code(mask, 3) == 1
-    assert bits.code_to_mask(1, 3) == mask
+    assert BasisState.from_text("001").code == 1
+    assert BasisState(1, 3).text == "001"
 
 
 @pytest.mark.parametrize("n,h", [(4, 0), (4, 2), (4, 4), (6, 3), (1, 1)])
@@ -37,13 +40,9 @@ def test_level_codes_match_brute_force(n):
         assert codes.tolist() == expected
 
 
-def test_level_codes_list_matches_array():
-    assert bits.level_codes_list(5, 2) == [int(c) for c in bits.level_codes(5, 2)]
-
-
 @pytest.mark.parametrize("n,h", [(5, 0), (5, 2), (5, 5), (7, 3)])
 def test_rank_in_level_bijection(n, h):
-    codes = bits.level_codes_list(n, h)
+    codes = bits.level_codes(n, h).tolist()
     ranks = [bits.rank_in_level(c, n) for c in codes]
     assert ranks == list(range(len(codes)))
 

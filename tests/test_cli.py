@@ -5,8 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import rel_err
-from spinperm import matrix_to_csv, matrix_to_json, permanent_ryser, random_matrix
+from spinperm import matrix_to_csv, matrix_to_json, permanent_ryser, random_matrix, selftest
 from spinperm.cli import main
+from spinperm.errors import ConsistencyError
 
 
 @pytest.fixture
@@ -222,9 +223,37 @@ def test_tol_env_default(runner, monkeypatch):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("command,rows,backend", [
+    ("perm", [["1e30"] * 12] * 12, "float"),
+    ("det", [["1e200", "0"], ["0", "1e200"]], "float"),
+    ("perm", [["1e30"] * 12] * 12, "exact"),
+], ids=["perm_inf", "det_inf", "perm_exact_overflow"])
+def test_non_finite_result_exits_1(runner, tmp_path, command, rows, backend):
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(",".join(row) for row in rows))
+    result = runner.invoke(main, [command, "--input", str(path), "--backend", backend])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    err = json.loads(result.stderr.splitlines()[-1])
+    assert err["error"] == "non_finite"
+
+
 def test_selftest_reports_lines(runner):
     result = runner.invoke(main, ["selftest"])
     lines = result.output.strip().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == len(selftest.CHECKS) == 9
     assert all(ln.startswith("PASS ") for ln in lines)
     assert result.exit_code == 0
+
+
+def test_selftest_reports_failure(runner, monkeypatch):
+    def broken():
+        raise ConsistencyError("broken on purpose")
+
+    for name in selftest.CHECKS:
+        monkeypatch.setitem(selftest.CHECKS, name, lambda: None)
+    monkeypatch.setitem(selftest.CHECKS, "criterion_7b", broken)
+    result = runner.invoke(main, ["selftest"])
+    assert "FAIL criterion_7b: broken on purpose" in result.output.splitlines()
+    assert result.output.count("PASS ") == len(selftest.CHECKS) - 1
+    assert result.exit_code == 1

@@ -34,10 +34,10 @@ def idx_of(text):
 
 def test_basis_state_rendering():
     s = BasisState.from_text("1010")
-    assert s.mask == 0b0101
+    assert s.code == 0b1010
     assert s.level == 2
     assert s.text == "1010"
-    assert BasisState.from_code(s.code, 4) == s
+    assert BasisState(s.code, 4) == s
 
 
 def test_jw_sign_examples():
@@ -60,8 +60,8 @@ def test_apply_level_from_vacuum(m3):
     op = SpinOperator(m3, "breve", "bosonic")
     out = apply_level(op, LevelVector.vacuum(3))
     # level-1 amplitudes land on (100, 010, 001) in label order
-    codes = bits.level_codes_list(3, 1)
-    by_text = {BasisState.from_code(c, 3).text: out.amplitudes[i]
+    codes = bits.level_codes(3, 1).tolist()
+    by_text = {BasisState(c, 3).text: out.amplitudes[i]
                for i, c in enumerate(codes)}
     w = m3.entries
     assert rel_err(by_text["100"], w[0, 0]) < 1e-14
@@ -72,12 +72,12 @@ def test_apply_level_from_vacuum(m3):
 def test_apply_level_fermionic_signs(m3):
     op = SpinOperator(m3, "breve", "fermionic")
     amps = np.zeros(3, dtype=np.complex128)
-    codes = bits.level_codes_list(3, 1)
-    texts = [BasisState.from_code(c, 3).text for c in codes]
+    codes = bits.level_codes(3, 1).tolist()
+    texts = [BasisState(c, 3).text for c in codes]
     amps[texts.index("010")] = 1.0
     out = apply_level(op, LevelVector(3, 1, amps))
-    codes2 = bits.level_codes_list(3, 2)
-    texts2 = [BasisState.from_code(c, 3).text for c in codes2]
+    codes2 = bits.level_codes(3, 2).tolist()
+    texts2 = [BasisState(c, 3).text for c in codes2]
     w = m3.entries
     assert rel_err(out.amplitudes[texts2.index("110")], -w[1, 0]) < 1e-14
     assert rel_err(out.amplitudes[texts2.index("011")], w[1, 2]) < 1e-14
@@ -87,11 +87,11 @@ def test_apply_level_fermionic_signs(m3):
 def test_apply_level_identity_weights(identity3):
     op = SpinOperator(identity3, "breve", "bosonic")
     amps = np.zeros(3, dtype=np.complex128)
-    codes = bits.level_codes_list(3, 1)
-    texts = [BasisState.from_code(c, 3).text for c in codes]
+    codes = bits.level_codes(3, 1).tolist()
+    texts = [BasisState(c, 3).text for c in codes]
     amps[texts.index("100")] = 1.0
     out = apply_level(op, LevelVector(3, 1, amps))
-    texts2 = [BasisState.from_code(c, 3).text for c in bits.level_codes_list(3, 2)]
+    texts2 = [BasisState(c, 3).text for c in bits.level_codes(3, 2).tolist()]
     expected = np.zeros(3, dtype=np.complex128)
     expected[texts2.index("110")] = 1.0
     assert np.allclose(out.amplitudes, expected)
@@ -117,7 +117,7 @@ def test_apply_level_level_guard(m3):
 def test_apply_closing_examples(m3):
     w = m3.entries
     amps = np.zeros(3, dtype=np.complex128)
-    texts = [BasisState.from_code(c, 3).text for c in bits.level_codes_list(3, 2)]
+    texts = [BasisState(c, 3).text for c in bits.level_codes(3, 2).tolist()]
     a, b, c = 1.7 - 0.3j, 0.2 + 1.1j, -0.8 + 0.5j
     amps[texts.index("110")] = a
     amps[texts.index("101")] = b

@@ -47,21 +47,22 @@ def test_sweep_oracles_any_seed(n, seed):
     assert count.total == n * 2**n
 
 
-@given(n=st.integers(1, 10), mask=st.integers(0, 2**10 - 1))
+@given(n=st.integers(1, 10), code=st.integers(0, 2**10 - 1))
 @settings(max_examples=100)
-def test_basis_state_roundtrip(n, mask):
-    mask &= (1 << n) - 1
-    s = BasisState(mask, n)
+def test_basis_state_roundtrip(n, code):
+    code &= (1 << n) - 1
+    s = BasisState(code, n)
     assert BasisState.from_text(s.text) == s
-    assert BasisState.from_code(s.code, n) == s
-    assert s.level == bin(mask).count("1")
+    assert [ch == "1" for ch in s.text] == [bool(code >> (n - 1 - site) & 1)
+                                           for site in range(n)]
+    assert s.level == bin(code).count("1")
 
 
 @given(n=st.integers(1, 9), h=st.integers(0, 9))
 @settings(max_examples=50)
 def test_combinadic_rank_bijection(n, h):
     h = min(h, n)
-    codes = bits.level_codes_list(n, h)
+    codes = bits.level_codes(n, h).tolist()
     assert sorted(codes) == codes
     assert [bits.rank_in_level(c, n) for c in codes] == list(range(len(codes)))
 
@@ -75,15 +76,15 @@ def test_jw_sign_matches_dense_ratio(data, n):
     m = random_matrix(n, seed, "complex_gaussian")
     bos = dense_operator(SpinOperator(m, "breve", "bosonic"))
     ferm = dense_operator(SpinOperator(m, "breve", "fermionic"))
-    mask = data.draw(st.integers(0, 2**n - 2))
-    state = BasisState(mask, n)
+    code = data.draw(st.integers(0, 2**n - 2))
+    state = BasisState(code, n)
     if state.level >= n:
         return
     site = data.draw(st.integers(0, n - 1))
-    if state.mask >> site & 1:
+    bit = 1 << (n - 1 - site)
+    if state.code & bit:
         return
-    target_mask = state.mask | (1 << site)
-    tgt = 0 if state.level == n - 1 else BasisState(target_mask, n).code
+    tgt = 0 if state.level == n - 1 else state.code | bit
     src = state.code
     if bos[tgt, src] != 0:
         assert ferm[tgt, src] == jw_sign(state, site) * bos[tgt, src]

@@ -37,7 +37,7 @@ def test_kernel_basis_fermionic_n3(m3):
     leads = [rref.leading_index(v) for v in vs]
     from spinperm import BasisState
 
-    assert [BasisState.from_code(c, 3).text for c in leads] == ["001", "011", "101"]
+    assert [BasisState(c, 3).text for c in leads] == ["001", "011", "101"]
     # first vector: |001> + (w11/w12)|010> + (w10/w12)|100>
     v1 = vs[0]
     idx = lambda t: BasisState.from_text(t).code
@@ -53,7 +53,7 @@ def test_kernel_basis_bosonic_n3(m3):
     vs = kernel_basis(dense_operator(op))
     from spinperm import BasisState
 
-    leads = [BasisState.from_code(rref.leading_index(v), 3).text for v in vs]
+    leads = [BasisState(rref.leading_index(v), 3).text for v in vs]
     assert leads == ["011", "101"]
     idx = lambda t: BasisState.from_text(t).code
     assert rel_err(vs[0][idx("110")], -w[2, 0] / w[2, 2]) < 1e-10
