@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import ConsistencyError, SizeGuardError
 from .matrix import random_matrix
 from .operator import OpCount, SpinOperator, evaluate, spin_op_count
@@ -44,22 +41,6 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _forced_kernel(kernel: str | None):
-    if kernel is None:
-        yield
-        return
-    prev = os.environ.get(_kernels.KERNEL_ENV)
-    os.environ[_kernels.KERNEL_ENV] = kernel
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(_kernels.KERNEL_ENV, None)
-        else:
-            os.environ[_kernels.KERNEL_ENV] = prev
-
-
 def _median_ns(fn, repeats: int) -> int:
     times = []
     for _ in range(repeats):
@@ -70,45 +51,31 @@ def _median_ns(fn, repeats: int) -> int:
     return times[len(times) // 2]
 
 
-def bench_suite(
-    n_min: int,
-    n_max: int,
-    repeats: int = 3,
-    compare_kernels: bool = False,
-    seed: int = 0,
-) -> list[BenchRow]:
+def bench_suite(n_min: int, n_max: int, repeats: int = 3, seed: int = 0) -> list[BenchRow]:
     """Per-n operation counts and median wall times for both methods.
 
     The spin count is read from an actual sweep and must equal n*2**n; the
-    Ryser count is the closed form.  With ``compare_kernels`` every
-    available kernel gets its own row (method suffixed ``-numba``/``-numpy``).
+    Ryser count is the closed form.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     if n_max > BENCH_MAX_N:
         raise SizeGuardError(f"bench limited to n <= {BENCH_MAX_N}")
-    kernels = list(_kernels.available_kernels()) if compare_kernels else [None]
     rows = []
     for n in range(n_min, n_max + 1):
         matrix = random_matrix(n, seed, "complex_gaussian")
         op = SpinOperator(matrix, "breve", "bosonic")
-        for kernel in kernels:
-            suffix = f"-{kernel}" if kernel else ""
-            with _forced_kernel(kernel):
-                value, count = evaluate(op)
-                if count.total != spin_op_count(n).total:
-                    raise ConsistencyError(
-                        f"spin sweep counted {count.total} ops at n={n}, "
-                        f"expected {n * 2 ** n}"
-                    )
-                spin_ns = _median_ns(lambda: evaluate(op), repeats)
-                rows.append(BenchRow(n, f"spin{suffix}", count.total, spin_ns))
-                ryser_ns = _median_ns(lambda: permanent_ryser(matrix), repeats)
-                expected = n * (1 << (n + 1)) - (n + 1) ** 2
-                counted = ryser_op_count(n).total
-                if counted != expected:
-                    raise ConsistencyError(
-                        f"Ryser counter {counted} at n={n}, expected {expected}"
-                    )
-                rows.append(BenchRow(n, f"ryser{suffix}", counted, ryser_ns))
+        _, count = evaluate(op)
+        if count.total != spin_op_count(n).total:
+            raise ConsistencyError(
+                f"spin sweep counted {count.total} ops at n={n}, expected {n * 2 ** n}"
+            )
+        spin_ns = _median_ns(lambda: evaluate(op), repeats)
+        rows.append(BenchRow(n, "spin", count.total, spin_ns))
+        ryser_ns = _median_ns(lambda: permanent_ryser(matrix), repeats)
+        expected = n * (1 << (n + 1)) - (n + 1) ** 2
+        counted = ryser_op_count(n).total
+        if counted != expected:
+            raise ConsistencyError(f"Ryser counter {counted} at n={n}, expected {expected}")
+        rows.append(BenchRow(n, "ryser", counted, ryser_ns))
     return rows

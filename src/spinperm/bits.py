@@ -1,4 +1,4 @@
-"""Occupancy bitstring helpers: codes and per-level indexing.
+"""Occupancy bitstring helpers: codes, Hamming levels and the raising rule.
 
 An occupation string is held as one integer, its ``code``: the rendered
 label (site 0 leftmost) read as a binary number, i.e. site ``s`` occupies
@@ -50,21 +50,6 @@ def level_codes(n: int, h: int) -> np.ndarray:
             for k in range(max(0, h - (n - m)), min(m, h) + 1)
         }
     return by_weight[h]
-
-
-def rank_in_level(code: int, n: int) -> int:
-    """Index of a weight-h code within the ascending weight-h enumeration.
-
-    Combinadic rank: with set bit positions p_1 < p_2 < ... < p_h,
-    rank = sum_k C(p_k, k).
-    """
-    rank = 0
-    k = 0
-    for p in range(n):
-        if code >> p & 1:
-            k += 1
-            rank += binom(p, k)
-    return rank
 
 
 def parity_below(code: int, bit: int) -> int:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .bench import BENCH_MAX_N, bench_suite, rows_to_csv
 from .errors import ParseError, SpinpermError
@@ -79,6 +80,11 @@ def _require_finite(name: str, *values) -> None:
         if not finite:
             _fail(EXIT_VERIFICATION, "non_finite",
                   f"{name} is not finite in double precision")
+
+
+def _quiet_overflow():
+    """Silence numpy's overflow warnings; ``_require_finite`` reports the result."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _parse_gen(spec: str) -> dict:
@@ -192,7 +198,8 @@ def perm(input_path, gen_spec, backend, variant, tol, output, format):
     except (ParseError, ValueError) as exc:
         _fail(EXIT_INPUT, "input", str(exc))
     try:
-        value, count = evaluate(SpinOperator(matrix, config.variant, "bosonic"))
+        with _quiet_overflow():
+            value, count = evaluate(SpinOperator(matrix, config.variant, "bosonic"))
     except SpinpermError as exc:
         _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
     _require_finite("permanent", value)
@@ -227,8 +234,9 @@ def det(input_path, gen_spec, backend, variant, tol, output, format):
         _fail(EXIT_INPUT, "input", str(exc))
     tol_value = _resolve_tol(config.tol, 1e-9)
     try:
-        value, count = evaluate(SpinOperator(matrix, config.variant, "fermionic"))
-        reference = determinant_gauss(matrix)
+        with _quiet_overflow():
+            value, count = evaluate(SpinOperator(matrix, config.variant, "fermionic"))
+            reference = determinant_gauss(matrix)
     except SpinpermError as exc:
         _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
     _require_finite("determinant", value, reference)
@@ -370,16 +378,13 @@ def graph(input_path, gen_spec, backend, variant, statistics, tol, output, forma
 @click.option("--max-n", type=int, default=12, show_default=True)
 @click.option("--repeats", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--compare-kernels", is_flag=True, default=False,
-              help="Emit one row per available kernel (numba and numpy).")
 @click.option("--output", type=str, default=None)
-def bench(min_n, max_n, repeats, seed, compare_kernels, output):
+def bench(min_n, max_n, repeats, seed, output):
     """Operation counts and median wall times as CSV."""
     if max_n > BENCH_MAX_N or min_n < 1 or min_n > max_n:
         _fail(EXIT_INPUT, "input", f"need 1 <= min-n <= max-n <= {BENCH_MAX_N}")
     try:
-        rows = bench_suite(min_n, max_n, repeats=repeats,
-                           compare_kernels=compare_kernels, seed=seed)
+        rows = bench_suite(min_n, max_n, repeats=repeats, seed=seed)
     except SpinpermError as exc:
         _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
     text = rows_to_csv(rows)

@@ -177,9 +177,9 @@ class LevelVector:
         return isinstance(self.amplitudes, list)
 
 
-def _level_codes(v: LevelVector, kernel: str | None = None) -> np.ndarray:
+def _level_codes(v: LevelVector) -> np.ndarray:
     if v.codes is None:
-        v.codes = _kernels.level_codes(v.n, v.level, kernel)
+        v.codes = bits.level_codes(v.n, v.level)
     return v.codes
 
 
@@ -203,14 +203,12 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
     n, h = op.n, v.level
     if count is not None:
         count.tally_edges(bits.binom(n, h) * (n - h))
-    kernel = _kernels.kernel_name()
-    src = _level_codes(v, kernel)
-    dst = _kernels.level_codes(n, h + 1, kernel)
+    src = _level_codes(v)
+    dst = bits.level_codes(n, h + 1)
     if v.is_exact:
         return LevelVector(n, h + 1, _raise_exact(op, v, src, dst), dst)
-    out = _kernels.apply_level(
-        src, dst, np.asarray(v.amplitudes), _wbits_row(op, h), op.fermionic, kernel
-    )
+    out = _kernels.apply_level(src, dst, np.asarray(v.amplitudes), _wbits_row(op, h),
+                               op.fermionic)
     return LevelVector(n, h + 1, out, dst)
 
 
@@ -227,14 +225,12 @@ def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None
         raise LevelMismatchError(f"apply_closing expects level {n - 1}, got {v.level}")
     if count is not None:
         count.tally_edges(n)
-    kernel = _kernels.kernel_name()
-    src = _level_codes(v, kernel)
+    src = _level_codes(v)
     full = (1 << n) - 1
     if v.is_exact:
         return _raise_exact(op, v, src, np.array([full]))[0]
-    return _kernels.apply_closing(
-        src, np.asarray(v.amplitudes), _wbits_row(op, n - 1), op.fermionic, full, kernel
-    )
+    return _kernels.apply_closing(src, np.asarray(v.amplitudes), _wbits_row(op, n - 1),
+                                  op.fermionic, full)
 
 
 def _raise_exact(op: SpinOperator, v: LevelVector, src, dst) -> list[ExactComplex]:

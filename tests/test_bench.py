@@ -43,15 +43,6 @@ def test_bench_csv_header():
     assert csv.splitlines()[1] == "3,spin,24,1000"
 
 
-def test_bench_compare_kernels_rows():
-    rows = bench_suite(3, 3, repeats=1, compare_kernels=True)
-    methods = {r.method for r in rows}
-    assert all("-" in m for m in methods)
-    for r in rows:
-        if r.method.startswith("spin"):
-            assert r.ops == 24
-
-
 def test_bench_guard():
     with pytest.raises(SizeGuardError):
         bench_suite(2, 27)

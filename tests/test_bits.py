@@ -40,13 +40,6 @@ def test_level_codes_match_brute_force(n):
         assert codes.tolist() == expected
 
 
-@pytest.mark.parametrize("n,h", [(5, 0), (5, 2), (5, 5), (7, 3)])
-def test_rank_in_level_bijection(n, h):
-    codes = bits.level_codes(n, h).tolist()
-    ranks = [bits.rank_in_level(c, n) for c in codes]
-    assert ranks == list(range(len(codes)))
-
-
 def test_parity_below():
     assert bits.parity_below(0b0110, 0b1000) == 0
     assert bits.parity_below(0b0110, 0b0001) == 0

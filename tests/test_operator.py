@@ -318,18 +318,43 @@ def test_level_vector_length_checked():
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
 def test_evaluate_builds_each_level_once(monkeypatch, backend, variant, statistics):
     built = []
-    level_codes = _kernels.level_codes
+    level_codes = bits.level_codes
 
-    def counting(n, h, kernel=None):
+    def counting(n, h):
         built.append(h)
-        return level_codes(n, h, kernel)
+        return level_codes(n, h)
 
-    monkeypatch.setattr(_kernels, "level_codes", counting)
+    monkeypatch.setattr(bits, "level_codes", counting)
     n = 6
     op = SpinOperator(random_matrix(n, n, "zero_one", backend=backend), variant, statistics)
     evaluate(op)
     assert len(built) <= (n if variant == "breve" else n + 1)
     assert sorted(built) == sorted(set(built))
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("variant", ["breve", "tilde"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_evaluate_calls_each_kernel_boundary_once_per_step(
+    monkeypatch, backend, variant, statistics
+):
+    calls = []
+    for name in ("apply_level", "apply_closing"):
+        def counting(*args, _name=name, _fn=getattr(_kernels, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernels, name, counting)
+    n = 5
+    op = SpinOperator(random_matrix(n, 3, "zero_one", backend=backend), variant, statistics)
+    evaluate(op)
+    if backend == "exact":
+        expected = (0, 0)
+    elif variant == "breve":
+        expected = (n - 1, 1)
+    else:
+        expected = (n, 0)
+    assert (calls.count("apply_level"), calls.count("apply_closing")) == expected
 
 
 @pytest.mark.parametrize("backend", ["float", "exact"])

@@ -18,7 +18,6 @@ from spinperm import (
     permanent_ryser,
     random_matrix,
 )
-from spinperm import bits
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -56,15 +55,6 @@ def test_basis_state_roundtrip(n, code):
     assert [ch == "1" for ch in s.text] == [bool(code >> (n - 1 - site) & 1)
                                            for site in range(n)]
     assert s.level == bin(code).count("1")
-
-
-@given(n=st.integers(1, 9), h=st.integers(0, 9))
-@settings(max_examples=50)
-def test_combinadic_rank_bijection(n, h):
-    h = min(h, n)
-    codes = bits.level_codes(n, h).tolist()
-    assert sorted(codes) == codes
-    assert [bits.rank_in_level(c, n) for c in codes] == list(range(len(codes)))
 
 
 @given(data=st.data(), n=st.integers(2, 6))
