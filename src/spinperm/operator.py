@@ -33,6 +33,7 @@ VARIANTS = ("tilde", "breve")
 STATISTICS = ("bosonic", "fermionic")
 
 DENSE_MAX_N = 12
+SWEEP_MAX_BYTES = 2 << 30  # see _check_sweep_size
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,14 @@ class SpinOperator:
 
 @dataclass
 class LevelVector:
-    """Amplitudes over all weight-``level`` states, ascending code order.
+    """Amplitudes over all weight-``level`` states, in the order of ``codes``.
 
-    ``codes`` holds those states' codes once they are built; a sweep hands
-    each step's destination codes to the vector it returns, so every level
-    is enumerated once.  Left ``None``, they are built on first use.
+    Float vectors are in block order (``bits.block_codes``), exact ones in
+    ascending code order (``bits.level_codes``); the two agree for n <=
+    ``bits.BLOCK_CUTOVER_N``.  ``codes`` holds those states' codes once
+    they are built; a sweep hands each step's destination codes to the
+    vector it returns, so every level is enumerated once.  Left ``None``,
+    they are built on first use.
     """
 
     n: int
@@ -177,10 +181,25 @@ class LevelVector:
         return isinstance(self.amplitudes, list)
 
 
+def _codes_for(n: int, h: int, exact: bool) -> np.ndarray:
+    return bits.level_codes(n, h) if exact else bits.block_codes(n, h)
+
+
 def _level_codes(v: LevelVector) -> np.ndarray:
     if v.codes is None:
-        v.codes = bits.level_codes(v.n, v.level)
+        v.codes = _codes_for(v.n, v.level, v.is_exact)
     return v.codes
+
+
+def _check_sweep_size(n: int) -> None:
+    # two amplitude arrays (complex128) and two code arrays (int64) of the
+    # middle level are live at once
+    need = 48 * bits.binom(n, n // 2)
+    if need > SWEEP_MAX_BYTES:
+        raise SizeGuardError(
+            f"a sweep at n={n} needs about {need / 2**30:.1f} GiB for its middle "
+            f"levels; the limit is {SWEEP_MAX_BYTES / 2**30:.0f} GiB"
+        )
 
 
 def _wbits_row(op: SpinOperator, h: int) -> np.ndarray:
@@ -204,7 +223,7 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
     if count is not None:
         count.tally_edges(bits.binom(n, h) * (n - h))
     src = _level_codes(v)
-    dst = bits.level_codes(n, h + 1)
+    dst = _codes_for(n, h + 1, v.is_exact)
     if v.is_exact:
         return LevelVector(n, h + 1, _raise_exact(op, v, src, dst), dst)
     out = _kernels.apply_level(src, dst, np.asarray(v.amplitudes), _wbits_row(op, h),
@@ -258,6 +277,7 @@ def evaluate(op: SpinOperator):
     extra one being the unit-weight return edge.
     """
     n = op.n
+    _check_sweep_size(n)
     count = OpCount()
     v = LevelVector.vacuum(n, op.matrix.backend)
     for _ in range(n - 1):
@@ -281,6 +301,7 @@ def operator_power_on_zero(op: SpinOperator, p: int) -> LevelVector:
     n = op.n
     if not 0 <= p <= n:
         raise RangeError(f"power must satisfy 0 <= p <= {n}, got {p}")
+    _check_sweep_size(n)
     v = LevelVector.vacuum(n, op.matrix.backend)
     steps = p if (op.variant == "tilde" or p < n) else p - 1
     for _ in range(steps):

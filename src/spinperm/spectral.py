@@ -219,7 +219,7 @@ def block_decompose(op: SpinOperator, tol: float = DEFAULT_RESIDUAL_TOL) -> list
     forward = [np.zeros(0)] * n
     v = LevelVector.vacuum(n)
     for m in range(n):
-        forward[m] = np.asarray(v.amplitudes).copy()
+        forward[m] = embed_level_vector(v, op.dimension)[level_idx[m]]
         if m < n - 1:
             v = apply_level(op, v)
     for m, idx in enumerate(level_idx):
