@@ -10,8 +10,12 @@ matrices line up with labels sorted as binary numbers (``000 < 001 < 010 <
 
 ``level_codes`` enumerates one Hamming level with Pascal's rule, one bit at
 a time (Knuth, TAOCP 4A §7.2.1.3): O(n·h) numpy calls per level, no
-recursion.  ``raise_edges`` is the one definition of the operator's raising
-rule.
+recursion.  ``shared_level_codes`` keeps each level on up to 15 bits once
+per process, read-only; the block layout and ``_kernels``' pull tables read
+their codes from it, so a sweep of n <= 15 costs no enumeration after the
+first.  ``raise_edges`` is the one definition of the operator's raising
+rule: an edge raises bit p of its source, and its Jordan-Wigner sign is
+odd when an odd number of set bits lie below p.
 
 Block layout: the n code bits split into b = ``low_bits(n)`` low bits and
 t = n - b top bits.  Level h is one block per top weight j, of shape
@@ -19,21 +23,27 @@ t = n - b top bits.  Level h is one block per top weight j, of shape
 weight-(h-j) low codes, both ascending, each block stored row-major and the
 blocks in ascending j.  Ascending code order sorts by the top bits first,
 so one block (b = n) is ascending order.  Raising a bit then maps whole
-columns (low bit) or whole rows (top bit), by tables over b or t bits.
+columns (low bit) or whole rows (top bit), by tables over b or t bits:
+each destination column or row pulls from its predecessors (``_kernels``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _LEVEL_DTYPE = np.int64
 
-# Largest n swept as one block (b = n); above it b = n // 2.  One block
-# sweeps faster up to n = 17 (1.5-2x at n <= 15 on a 2-core x86-64 host),
-# but its cached raise tables hold all n·2**(n-1) edges of the n-bit
-# operator: +4 MB peak RSS at n = 15, +19 MB at n = 17.
+# Largest n swept as one block (b = n); above it b = n // 2.  Warm, one
+# block sweeps faster up to n = 15 on a 2-core x86-64 host (perm + det: 3.3
+# against 6.0 ms at n = 14, 6.7 against 7.9 ms at n = 15, 22 against 12 ms
+# at n = 16).  Cold, the split layout is faster from n = 14 (9 against 17 ms
+# at 14, 14 against 26 ms at 15), because one block's raise tables hold all
+# n·2**(n-1) edges of the n-bit operator: about 15 ms to build and +5.5 MB
+# peak RSS at n = 15.  One block pays off once a process sweeps n = 15
+# about ten times.
 BLOCK_CUTOVER_N = 15
 
 
@@ -67,24 +77,55 @@ def level_codes(n: int, h: int) -> np.ndarray:
     return by_weight[h]
 
 
+# (n, h) -> level_codes(n, h), read-only, for n <= _SHARED_MAX_BITS = 15:
+# at most 2**16 codes (512 KB) in all.  Block layouts and raise tables never
+# need more than max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 bits under the size
+# guard.
+_SHARED_MAX_BITS = 15
+_SHARED: dict[tuple[int, int], np.ndarray] = {}
+
+
+def shared_level_codes(n: int, h: int) -> np.ndarray:
+    """``level_codes(n, h)``, built once per process and read-only up to 15 bits.
+
+    The block layout and ``_kernels``' raise tables share these arrays, so a
+    level is enumerated once however many sweeps read it.  Above 15 bits
+    each call builds a fresh array.
+    """
+    if n > _SHARED_MAX_BITS:
+        return level_codes(n, h)
+    codes = _SHARED.get((n, h))
+    if codes is None:
+        codes = _SHARED[(n, h)] = level_codes(n, h)
+        codes.flags.writeable = False
+    return codes
+
+
 def low_bits(n: int) -> int:
     """Low code bits b of the block layout: all of them up to the cutover."""
     return n if n <= BLOCK_CUTOVER_N else n // 2
 
 
-def level_blocks(n: int, h: int) -> list[tuple[int, int, int]]:
+def level_blocks(n: int, h: int) -> tuple[tuple[int, int, int], ...]:
     """``(j, rows, cols)`` of each block of level h, in storage order."""
-    b = low_bits(n)
-    return [(j, binom(n - b, j), binom(b, h - j))
-            for j in range(max(0, h - b), min(n - b, h) + 1)]
+    return _level_blocks(n, h, low_bits(n))
+
+
+# keyed by (n, h, b): a few hundred small tuples for the n <= 28 the size
+# guard lets a sweep reach
+@functools.cache
+def _level_blocks(n: int, h: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((j, binom(n - b, j), binom(b, h - j))
+                 for j in range(max(0, h - b), min(n - b, h) + 1))
 
 
 def block_codes(n: int, h: int) -> np.ndarray:
     """All weight-h codes on n bits in block order (see the module docstring)."""
     b = low_bits(n)
     if b == n:
-        return level_codes(n, h)
-    blocks = [((level_codes(n - b, j) << b)[:, None] | level_codes(b, h - j)).ravel()
+        return shared_level_codes(n, h)
+    blocks = [((shared_level_codes(n - b, j) << b)[:, None]
+               | shared_level_codes(b, h - j)).ravel()
               for j, _, _ in level_blocks(n, h)]
     return np.concatenate([np.empty(0, dtype=_LEVEL_DTYPE), *blocks])
 

@@ -356,6 +356,9 @@ def graph(input_path, gen_spec, backend, variant, statistics, tol, output, forma
             raise ParseError("graph --round draws a reduction, defined for the breve "
                              "variant only")
         matrix = _load_matrix(config)
+        if round_ is not None and not 0 <= round_ < matrix.n:
+            raise ParseError(f"--round must be in [0, {matrix.n - 1}] for n={matrix.n}, "
+                             f"got {round_}")
     except (ParseError, ValueError) as exc:
         _fail(EXIT_INPUT, "input", str(exc))
     try:

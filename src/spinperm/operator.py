@@ -147,7 +147,8 @@ class LevelVector:
     ``bits.BLOCK_CUTOVER_N``.  ``codes`` holds those states' codes once
     they are built; a sweep hands each step's destination codes to the
     vector it returns, so every level is enumerated once.  Left ``None``,
-    they are built on first use.
+    they are built on first use.  Float vectors up to the cutover share
+    their read-only codes with every other sweep (``bits.shared_level_codes``).
     """
 
     n: int
@@ -193,8 +194,11 @@ def _level_codes(v: LevelVector) -> np.ndarray:
 
 def _check_sweep_size(n: int) -> None:
     # two amplitude arrays (complex128) and two code arrays (int64) of the
-    # middle level are live at once
-    need = 48 * bits.binom(n, n // 2)
+    # middle level are live at once, plus the raise's one temporary: a
+    # complex128 block, at most C(t, t//2) * C(b, b//2) states
+    b = bits.low_bits(n)
+    block = bits.binom(n - b, (n - b) // 2) * bits.binom(b, b // 2)
+    need = 48 * bits.binom(n, n // 2) + 16 * block
     if need > SWEEP_MAX_BYTES:
         raise SizeGuardError(
             f"a sweep at n={n} needs about {need / 2**30:.1f} GiB for its middle "

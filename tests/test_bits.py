@@ -64,3 +64,14 @@ def test_raise_edges_matches_scalar_rule(n, fermionic):
                 assert odd is None
             seen.append(p)
         assert seen == list(range(n))
+
+
+def test_shared_level_codes_are_built_once_and_read_only():
+    codes = bits.shared_level_codes(9, 4)
+    assert bits.shared_level_codes(9, 4) is codes
+    assert np.array_equal(codes, bits.level_codes(9, 4))
+    with pytest.raises(ValueError):
+        codes[0] = 0
+    wide = bits.shared_level_codes(16, 1)  # above 15 bits: built fresh, not kept
+    assert np.array_equal(wide, bits.level_codes(16, 1)) and wide.flags.writeable
+    assert (16, 1) not in bits._SHARED

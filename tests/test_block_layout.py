@@ -42,6 +42,27 @@ def test_block_codes_permute_level_codes(n):
         assert start == len(codes)
 
 
+@pytest.mark.parametrize("nbits", range(1, 13))
+def test_pull_tables_list_the_raise_edges(nbits):
+    # term i of a destination raises its i-th lowest set bit, so exactly i
+    # set bits lie below it and its Jordan-Wigner parity, the premise of the
+    # pull's sign fold, is i & 1
+    for k in range(nbits):
+        src, dst = bits.level_codes(nbits, k), bits.level_codes(nbits, k + 1)
+        sbit, pos = _kernels._table(nbits, k)
+        assert sbit.shape == pos.shape == (k + 1, len(dst))
+        bit, parity = sbit % nbits, sbit // nbits
+        assert np.all(np.diff(bit, axis=0) > 0)  # raised bits ascend within a destination
+        term = np.broadcast_to(np.arange(k + 1)[:, None], bit.shape)
+        assert np.array_equal(parity, term & 1)
+        pulled = sorted(zip(np.tile(np.arange(len(dst)), k + 1).tolist(), bit.ravel().tolist(),
+                            pos.ravel().tolist(), parity.ravel().astype(bool).tolist()))
+        edges = sorted((int(d), p, int(i), bool(o))
+                       for p, at, raised, odd in bits.raise_edges(src, nbits, True)
+                       for i, d, o in zip(at, np.searchsorted(dst, raised), odd))
+        assert pulled == edges  # every edge exactly once, with raise_edges' odd mask
+
+
 def _scalar_step(src, dst, amps, wbits, fermionic):
     """The raising rule edge by edge in ascending code order, mapped back."""
     n = wbits.shape[0]

@@ -5,7 +5,16 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import rel_err
-from spinperm import matrix_to_csv, matrix_to_json, permanent_ryser, random_matrix, selftest
+from spinperm import (
+    SpinOperator,
+    graph_from_reduction,
+    matrix_to_csv,
+    matrix_to_json,
+    permanent_ryser,
+    random_matrix,
+    reduce_fully,
+    selftest,
+)
 from spinperm.cli import main
 from spinperm.errors import ConsistencyError
 
@@ -135,6 +144,27 @@ def test_graph_round_rejects_tilde_variant(runner):
     err = json.loads(result.stderr.splitlines()[-1])
     assert err["error"] == "input"
     assert "breve" in err["message"]
+
+
+@pytest.mark.parametrize("round_", [-1, 3])
+def test_graph_round_out_of_range_is_input_error(runner, round_):
+    result = runner.invoke(main, ["graph", "--gen", "n=3,seed=1", "--round", str(round_)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "input"
+    assert "[0, 2]" in err["message"]
+
+
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_graph_rounds_in_range_draw_the_reduction(runner, statistics):
+    op = SpinOperator(random_matrix(3, 1), "breve", statistics)
+    trace = reduce_fully(op)
+    for round_ in range(3):
+        result = invoke(runner, ["graph", "--gen", "n=3,seed=1", "--statistics", statistics,
+                                 "--round", str(round_), "--format", "json"])
+        expected = graph_from_reduction(trace, round_).to_json_dict()
+        assert json.loads(result.output) == json.loads(json.dumps(expected))
 
 
 def test_missing_input_is_input_error(runner):

@@ -375,3 +375,17 @@ def test_level_vector_without_codes_applies_the_same(backend, statistics):
             assert apply_closing(op, swept) == apply_closing(op, by_hand)
         assert np.array_equal(by_hand.codes, bits.level_codes(n, p))
         assert np.array_equal(swept.codes, by_hand.codes)
+
+
+def test_swept_codes_are_read_only():
+    v = operator_power_on_zero(SpinOperator(random_matrix(6, 2), "breve", "bosonic"), 3)
+    with pytest.raises(ValueError):
+        v.codes[0] = 0
+
+
+def test_code_and_table_caches_stay_within_15_bits():
+    for n in range(4, 21):
+        for statistics in ("bosonic", "fermionic"):
+            evaluate(SpinOperator(random_matrix(n, n), "breve", statistics))
+    assert max(nbits for nbits, _ in bits._SHARED) <= 15
+    assert max(nbits for nbits, _ in _kernels._TABLES) <= 15
