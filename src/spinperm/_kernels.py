@@ -50,7 +50,8 @@ _TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 # Terms of one pull gathered at once: as many as fit this many amplitudes
 # (256 KB), and at least one, so a large block keeps one block-sized
-# temporary while a small level costs a few numpy calls.
+# temporary while a small level costs a few numpy calls.  Of the sizes tried
+# from 2**11 to 2**20, 2**14 swept n = 12..18 fastest on a 2-core x86-64 host.
 _PULL_ELEMENTS = 1 << 14
 
 
