@@ -1,140 +1,58 @@
-"""Permanents and determinants from a spin-1/2 branching operator."""
+"""Permanents and determinants from a spin-1/2 branching operator.
 
-from .errors import (
-    BlockStructureError,
-    ConsistencyError,
-    DimensionError,
-    LevelMismatchError,
-    OccupiedSiteError,
-    ParseError,
-    RangeError,
-    SizeGuardError,
-    SpectralMismatchError,
-    SpinpermError,
-    ZeroPermanentError,
-    ZeroPivotError,
-)
-from .exact import ExactComplex
-from .matrix import (
-    SquareMatrix,
-    format_complex,
-    matrix_to_csv,
-    matrix_to_json,
-    parse_complex_literal,
-    parse_matrix,
-    random_matrix,
-)
-from .operator import (
-    BasisState,
-    LevelVector,
-    OpCount,
-    SpinOperator,
-    apply_closing,
-    apply_level,
-    dense_operator,
-    evaluate,
-    jw_sign,
-    operator_power_on_zero,
-    spin_op_count,
-)
-from .oracles import (
-    determinant_gauss,
-    lower_triangular_reduce,
-    permanent_naive,
-    permanent_ryser,
-)
-from .spectral import (
-    SpectrumReport,
-    block_decompose,
-    build_eigenvector,
-    generalized_kernel_ranks,
-    hermitian_parts,
-    verify_spectrum,
-)
-from .reduction import (
-    GaussianComparison,
-    ReductionState,
-    ReductionTrace,
-    eigenvector_pushforward,
-    factor_round,
-    fermionic_matches_gaussian,
-    kernel_basis,
-    reduce_fully,
-)
-from .graph import (
-    AbpEdge,
-    AbpGraph,
-    AbpNode,
-    count_paths,
-    export_dot,
-    graph_from_operator,
-    graph_from_reduction,
-    parse_dot,
-    path_sum,
-)
-from .bench import BenchRow, bench_suite, rows_to_csv, ryser_op_count
+Every public name loads on first access (PEP 562), so a program that
+imports one module, such as ``spinperm.cli`` for ``perm``, loads only
+what it runs.
+"""
 
-__all__ = [
-    "AbpEdge",
-    "AbpGraph",
-    "AbpNode",
-    "BasisState",
-    "BenchRow",
-    "BlockStructureError",
-    "ConsistencyError",
-    "DimensionError",
-    "ExactComplex",
-    "GaussianComparison",
-    "LevelMismatchError",
-    "LevelVector",
-    "OccupiedSiteError",
-    "OpCount",
-    "ParseError",
-    "RangeError",
-    "ReductionState",
-    "ReductionTrace",
-    "SizeGuardError",
-    "SpectralMismatchError",
-    "SpectrumReport",
-    "SpinOperator",
-    "SpinpermError",
-    "SquareMatrix",
-    "ZeroPermanentError",
-    "ZeroPivotError",
-    "apply_closing",
-    "apply_level",
-    "bench_suite",
-    "block_decompose",
-    "build_eigenvector",
-    "count_paths",
-    "dense_operator",
-    "determinant_gauss",
-    "eigenvector_pushforward",
-    "evaluate",
-    "export_dot",
-    "factor_round",
-    "fermionic_matches_gaussian",
-    "format_complex",
-    "generalized_kernel_ranks",
-    "graph_from_operator",
-    "graph_from_reduction",
-    "hermitian_parts",
-    "jw_sign",
-    "kernel_basis",
-    "lower_triangular_reduce",
-    "matrix_to_csv",
-    "matrix_to_json",
-    "operator_power_on_zero",
-    "parse_complex_literal",
-    "parse_dot",
-    "parse_matrix",
-    "path_sum",
-    "permanent_naive",
-    "permanent_ryser",
-    "random_matrix",
-    "reduce_fully",
-    "rows_to_csv",
-    "ryser_op_count",
-    "spin_op_count",
-    "verify_spectrum",
-]
+from importlib import import_module
+
+# module -> the public names it defines
+_EXPORTS = {
+    "errors": (
+        "BlockStructureError", "ConsistencyError", "DimensionError", "LevelMismatchError",
+        "OccupiedSiteError", "ParseError", "RangeError", "SizeGuardError",
+        "SpectralMismatchError", "SpinpermError", "ZeroPermanentError", "ZeroPivotError",
+    ),
+    "exact": ("ExactComplex",),
+    "matrix": (
+        "SquareMatrix", "format_complex", "matrix_to_csv", "matrix_to_json",
+        "parse_complex_literal", "parse_matrix", "random_matrix",
+    ),
+    "operator": (
+        "BasisState", "LevelVector", "OpCount", "SpinOperator", "apply_closing",
+        "apply_level", "dense_operator", "evaluate", "jw_sign", "operator_power_on_zero",
+        "spin_op_count",
+    ),
+    "oracles": (
+        "determinant_gauss", "lower_triangular_reduce", "permanent_naive", "permanent_ryser",
+    ),
+    "spectral": (
+        "SpectrumReport", "block_decompose", "build_eigenvector", "generalized_kernel_ranks",
+        "hermitian_parts", "verify_spectrum",
+    ),
+    "reduction": (
+        "GaussianComparison", "ReductionState", "ReductionTrace", "eigenvector_pushforward",
+        "factor_round", "fermionic_matches_gaussian", "kernel_basis", "reduce_fully",
+    ),
+    "graph": (
+        "AbpEdge", "AbpGraph", "AbpNode", "count_paths", "export_dot", "graph_from_operator",
+        "graph_from_reduction", "parse_dot", "path_sum",
+    ),
+    "bench": ("BenchRow", "bench_suite", "rows_to_csv", "ryser_op_count"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

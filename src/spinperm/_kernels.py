@@ -9,19 +9,22 @@ b = ``bits.low_bits(n)`` low bits and t = n - b top bits.
 Raising low bit p maps columns within block j; raising top bit q maps rows
 of block j into block j+1.  Either raise is a pull: each destination (a
 column or row code of weight k+1) sums its k+1 predecessors, and term i
-clears the destination's i-th lowest set bit.  The tables ``(bit, pos)``
+clears the destination's i-th lowest set bit.  The tables ``(sbit, pos)``
 for those terms are built once per (bits, weight) from
 ``bits.raise_edges`` on b or t bits, so the raising rule keeps its one
-definition and no raise searches for or scatters into its targets.
+definition and no raise searches for or scatters into its targets.  The
+pulls of each level, with their block offsets, chunks and weight indices,
+are planned once per layout (``_plan``), so a step does no layout
+arithmetic; a one-block level is a plan with one pull.
 
 Jordan-Wigner sign: exactly i occupied bits lie below the bit that term i
 raises, within the b or t bits of its table.  A low bit has no top bit
 below it, so term i's sign is (-1)**i; a top bit lies above all k = h-j
 low bits of its block, so its sign is (-1)**(k+i).  The sign depends on
-the term only, so it is folded into the weight vector (``-wbits`` for odd
-terms) and the determinant costs what the permanent costs.  The closing
-step is the raise into level n, whose only block is 1x1 and whose only
-code is ``2**n - 1``.
+the term only, so it is folded into the weight index: every pull gathers
+its weights from ``[wbits, -wbits]`` (``_weights``), and the determinant
+costs what the permanent costs.  The closing step is the raise into level
+n, whose only block is 1x1 and whose only code is ``2**n - 1``.
 
 ``apply_level`` and ``apply_closing`` are the two boundaries the sweep
 calls through this module's attributes, so a caller can wrap them to time
@@ -42,10 +45,10 @@ HAVE_NUMBA = False
 # of the weight-(k+1) code at column d raises its i-th lowest set bit
 # sbit[i, d] % bits from the weight-k code at position pos[i, d] (both
 # ascending); sbit[i, d] // bits is i's parity, so ``sbit`` indexes the
-# weights followed by their negations (``_signed``).  An entry depends only
-# on its key, so every caller may share it; bits never exceed
-# max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 under the size guard, which bounds the
-# cache at about 8 MB (16 bytes per edge).
+# table's weights followed by their negations (``_weight_index``).  An
+# entry depends only on its key, so every caller may share it; bits never
+# exceed max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 under the size guard, which
+# bounds the cache at about 8 MB (16 bytes per edge).
 _TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 # Terms of one pull gathered at once: as many as fit this many amplitudes
@@ -53,6 +56,16 @@ _TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 # temporary while a small level costs a few numpy calls.  Of the sizes tried
 # from 2**11 to 2**20, 2**14 swept n = 12..18 fastest on a 2-core x86-64 host.
 _PULL_ELEMENTS = 1 << 14
+
+# (n, h, b) -> ``_plan(n, h)``: views into ``_TABLES`` and ``_INDEX`` and a
+# few offsets, at most two entries per block, for the n <= 28 the size guard
+# lets a sweep reach.  Keyed by b as well, as ``bits._level_blocks`` is.
+_PLANS: dict[tuple[int, int, int], tuple] = {}
+
+# (n, bits, k, offset, flip) -> ``_weight_index``: a split layout's tables
+# re-indexed, one low and two top variants per table, so at most three times
+# the ``sbit`` entries (24 bytes per edge of the b- and t-bit operators).
+_INDEX: dict[tuple[int, int, int, int, int], np.ndarray] = {}
 
 
 def kernel_name() -> str:
@@ -80,52 +93,111 @@ def _table(nbits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _signed(w, fermionic: bool, odd: bool):
-    """The weights of even terms, then those of odd terms: what ``sbit`` indexes.
+def _plan(n: int, h: int) -> tuple:
+    """The pulls of one raise from level h, built once per layout.
 
-    Fermionic term i is signed (-1)**(i + odd), where ``odd`` is the parity
-    of the occupied bits below the table's own (a top bit's k low bits).
+    One entry per pull, in block order: ``(src, dst, transposed, take,
+    fresh, chunks)``.  ``src`` and ``dst`` are ``(start, stop, shape)`` of a
+    block of level h and of level h+1; ``transposed`` marks a low-bit pull,
+    which maps columns; ``take`` marks a pull whose source view is
+    contiguous, so ``ndarray.take`` gathers from it without copying it
+    whole; ``fresh`` marks the first pull into its block, which every block
+    of level h+1 has; ``chunks`` are ``(index, pos)`` runs of at most
+    ``_PULL_ELEMENTS`` gathered amplitudes, where ``index`` is the table's
+    ``sbit`` as indices into ``_weights`` (``_weight_index``).  A one-block
+    level (b = n) is a plan with one entry.
     """
-    if not fermionic:
-        return np.concatenate([w, w])
-    return np.concatenate([-w, w] if odd else [w, -w])
+    b = bits.low_bits(n)
+    plan = _PLANS.get((n, h, b))
+    if plan is None:
+        t = n - b
+        into = _offsets(n, h + 1)
+        pulls = []
+        for j, (start, rows, cols) in _offsets(n, h).items():
+            src, k = (start, start + rows * cols, (rows, cols)), h - j
+            if k < b:  # raise a low bit: column map within block j
+                pulls.append(_pull_plan(n, src, into[j], True, rows, b, k, 0, 0))
+            if j < t:  # raise a top bit: row map from block j into block j+1
+                pulls.append(_pull_plan(n, src, into[j + 1], False, cols, t, j, b, k & 1))
+        plan, filled = [], set()
+        for src, dst, transposed, take, chunks in pulls:
+            plan.append((src, dst, transposed, take, dst[0] not in filled, chunks))
+            filled.add(dst[0])
+        plan = _PLANS[(n, h, b)] = tuple(plan)
+    return plan
 
 
-def _pull(x, o, table, w) -> None:
-    """``o[d] += sum_i w[sbit[i, d]] * x[pos[i, d]]``, gathering along axis 0.
+def _pull_plan(n, src, dst, transposed, width, nbits, k, offset, flip):
+    """One pull of ``_plan``, into the ``(start, rows, cols)`` block ``dst``
+    of level h+1, without its ``fresh`` flag."""
+    start, rows, cols = dst
+    pos = _table(nbits, k)[1]
+    index = _weight_index(n, nbits, k, offset, flip)[..., None]
+    # as many terms as fit _PULL_ELEMENTS gathered amplitudes, and at least one
+    step = max(1, _PULL_ELEMENTS // (pos.shape[1] * width))
+    chunks = tuple((index[i:i + step], pos[i:i + step]) for i in range(0, len(pos), step))
+    take = not transposed or src[2][0] == 1  # a one-row block's columns are contiguous
+    return src, (start, start + rows * cols, (rows, cols)), transposed, take, chunks
 
-    Terms go in chunks of up to ``_PULL_ELEMENTS`` gathered amplitudes, each
-    chunk summed in term order, so the one temporary stays small.
-    """
-    sbit, pos = table
-    step = max(1, _PULL_ELEMENTS // (pos.shape[1] * x.shape[1]))
-    for i in range(0, len(pos), step):
-        t = x[pos[i:i + step]]
-        t *= w[sbit[i:i + step]][..., None]
-        o += t[0] if len(t) == 1 else t.sum(axis=0)
 
-
-def _blocks(flat, n: int, h: int) -> dict:
-    """Top weight j -> the 2-D view of block j of a flat level-h array."""
+def _offsets(n: int, h: int) -> dict[int, tuple[int, int, int]]:
+    """Top weight j -> (start, rows, cols) of block j of level h."""
     out, start = {}, 0
     for j, rows, cols in bits.level_blocks(n, h):
-        out[j] = flat[start:start + rows * cols].reshape(rows, cols)
+        out[j] = (start, rows, cols)
         start += rows * cols
     return out
 
 
+def _weight_index(n: int, nbits: int, k: int, offset: int, flip: int) -> np.ndarray:
+    """Table (nbits, k)'s ``sbit`` as indices into ``_weights``, built once.
+
+    The table's bits are code bits ``offset..offset+nbits-1``, and term i
+    takes -w when i + ``flip`` is odd: ``flip`` is the parity of the
+    occupied bits below the table's own (a top bit's k low bits).  On a
+    one-block level the index is ``sbit`` itself.
+    """
+    sbit = _table(nbits, k)[0]
+    if (nbits, offset, flip) == (n, 0, 0):
+        return sbit
+    index = _INDEX.get((n, nbits, k, offset, flip))
+    if index is None:
+        index = offset + sbit % nbits + n * ((sbit // nbits) ^ flip)
+        _INDEX[(n, nbits, k, offset, flip)] = index
+    return index
+
+
+def _weights(wbits, fermionic: bool):
+    """What a weight index reads: ``wbits``, then their negations (fermionic)
+    or ``wbits`` again (bosonic), so index p + n is bit p's odd-term weight."""
+    return np.concatenate((wbits, -wbits if fermionic else wbits))
+
+
+def _pull(x, o, chunks, w, take: bool, fresh: bool) -> None:
+    """``o[d] += sum_i w[index[i, d]] * x[pos[i, d]]``, gathering along axis 0.
+
+    Each chunk of terms is summed in term order from 0.0, as ``sum`` does.
+    A fresh ``o`` is not read: the first chunk's sum is written into it.
+    """
+    for index, pos in chunks:
+        t = x.take(pos, axis=0) if take else x[pos]
+        t *= w.take(index)
+        if fresh:
+            np.add.reduce(t, axis=0, out=o, initial=0.0)
+            fresh = False
+        else:
+            o += t[0] if len(t) == 1 else t.sum(axis=0)
+
+
 def _raise(src, amps, wbits, fermionic, size: int):
     n, h = wbits.shape[0], int(src[0]).bit_count()
-    b = bits.low_bits(n)
-    low = _signed(wbits[:b], fermionic, False)
-    out = np.zeros(size, dtype=np.complex128)
-    into = _blocks(out, n, h + 1)
-    for j, a in _blocks(amps, n, h).items():
-        k = h - j
-        if k < b:  # raise a low bit: column map within block j
-            _pull(a.T, into[j].T, _table(b, k), low)
-        if j < n - b:  # raise a top bit: row map from block j into block j+1
-            _pull(a, into[j + 1], _table(n - b, j), _signed(wbits[b:], fermionic, k & 1))
+    w = _weights(wbits, fermionic)
+    out = np.empty(size, dtype=np.complex128)  # every block has a fresh pull
+    for (s0, s1, shape), (d0, d1, into), transposed, take, fresh, chunks in _plan(n, h):
+        a, o = amps[s0:s1].reshape(shape), out[d0:d1].reshape(into)
+        if transposed:
+            a, o = a.T, o.T
+        _pull(a, o, chunks, w, take, fresh)
     return out
 
 

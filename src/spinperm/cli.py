@@ -7,14 +7,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .bench import BENCH_MAX_N, bench_suite, rows_to_csv
 from .errors import ParseError, SpinpermError
-from .graph import export_dot, graph_from_operator, graph_from_reduction
 from .matrix import (
     GENERATOR_KINDS,
     SquareMatrix,
@@ -24,9 +23,28 @@ from .matrix import (
 )
 from .operator import SpinOperator, evaluate
 from .oracles import determinant_gauss
-from .reduction import reduce_fully
-from .selftest import run_selftest
-from .spectral import verify_spectrum
+
+
+def _on_first_call(module: str, name: str):
+    """Stand-in for ``spinperm.<module>.<name>`` that imports it when called.
+
+    ``perm`` and ``det`` never load the verification and export modules
+    (nor ``bench`` and ``selftest``, which their commands import).  The
+    stand-ins are module attributes that the command bodies look up at call
+    time, so a caller can wrap them as it could the functions themselves.
+    """
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+verify_spectrum = _on_first_call("spectral", "verify_spectrum")
+reduce_fully = _on_first_call("reduction", "reduce_fully")
+graph_from_operator = _on_first_call("graph", "graph_from_operator")
+graph_from_reduction = _on_first_call("graph", "graph_from_reduction")
+export_dot = _on_first_call("graph", "export_dot")
 
 TOL_ENV = "SPINPERM_TOL"
 
@@ -130,11 +148,18 @@ def _resolve_tol(tol: float | None, default: float) -> float:
     return default
 
 
+def _write(text: str) -> None:
+    # not click.echo: it caches a wrapper per stream whose value is the stream
+    # itself, so every redirected stdout would stay alive with its output
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _emit(config: RunConfig, text: str) -> None:
     if config.output:
         Path(config.output).write_text(text)
     else:
-        click.echo(text, nl=False)
+        _write(text)
 
 
 def _matrix_options(fn):
@@ -384,6 +409,8 @@ def graph(input_path, gen_spec, backend, variant, statistics, tol, output, forma
 @click.option("--output", type=str, default=None)
 def bench(min_n, max_n, repeats, seed, output):
     """Operation counts and median wall times as CSV."""
+    from .bench import BENCH_MAX_N, bench_suite, rows_to_csv
+
     if max_n > BENCH_MAX_N or min_n < 1 or min_n > max_n:
         _fail(EXIT_INPUT, "input", f"need 1 <= min-n <= max-n <= {BENCH_MAX_N}")
     try:
@@ -394,13 +421,15 @@ def bench(min_n, max_n, repeats, seed, output):
     if output:
         Path(output).write_text(text)
     else:
-        click.echo(text, nl=False)
+        _write(text)
 
 
 @main.command()
 def selftest():
     """Run acceptance criteria 1-8 and print one PASS/FAIL line per criterion."""
-    ok = run_selftest(emit=click.echo)
+    from .selftest import run_selftest
+
+    ok = run_selftest(emit=lambda line: _write(line + "\n"))
     sys.exit(EXIT_OK if ok else EXIT_VERIFICATION)
 
 

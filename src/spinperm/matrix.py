@@ -16,6 +16,18 @@ _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
     rf"^(?P<re>[+-]?{_FLOAT})(?:(?P<im>[+-]{_FLOAT})[ij])?$"
 )
+# ``_COMPLEX_RE``'s literals with ASCII digits, joined by commas and each
+# padded with the ASCII whitespace that complex() strips, so one fullmatch
+# checks a whole matrix (a Unicode ``\d`` is slower per character than
+# ``[0-9]``).  What it rejects goes literal by literal (``_float_entries``).
+# A literal's first match is its longest, so the atomic groups lose no
+# match; they keep a failed match from re-splitting the digits of every
+# literal before it, which would take exponential time.
+_ASCII_LITERAL = rf"[+-]?{_FLOAT}(?:[+-]{_FLOAT}[ij])?".replace(r"\d", "[0-9]")
+_PAD = r"[ \t\n\r\f\v]*"
+_LITERALS_RE = re.compile(
+    rf"{_PAD}(?>{_ASCII_LITERAL}){_PAD}(?:,{_PAD}(?>{_ASCII_LITERAL}){_PAD})*"
+)
 
 GENERATOR_KINDS = ("complex_gaussian", "real_uniform", "zero_one")
 
@@ -25,13 +37,13 @@ def parse_complex_literal(token: str, backend: str = "float"):
     m = _COMPLEX_RE.match(token.strip())
     if m is None:
         raise ParseError(f"invalid complex literal {token.strip()!r}")
-    re_part = m.group("re")
-    im_part = m.group("im")
     if backend == "exact":
+        im_part = m.group("im")
         return ExactComplex(
-            Fraction(re_part), Fraction(im_part) if im_part else Fraction(0)
+            Fraction(m.group("re")), Fraction(im_part) if im_part else Fraction(0)
         )
-    return complex(float(re_part), float(im_part) if im_part else 0.0)
+    # complex() reads each part with the strtod that float() uses
+    return complex(m.group().replace("i", "j"))
 
 
 def format_complex(value) -> str:
@@ -109,7 +121,16 @@ class SquareMatrix:
         )
 
 
-def _rows_to_matrix(rows: list[list], backend: str) -> SquareMatrix:
+def _rows_to_matrix(rows, backend: str) -> SquareMatrix:
+    """CSV token rows or JSON rows as a matrix.
+
+    Every entry is converted before the shape is checked, so the first bad
+    entry in reading order is reported before a ragged row.
+    """
+    if backend == "exact":
+        entries = [[_entry_scalar(v, backend) for v in row] for row in rows]
+    else:
+        entries = _float_entries(rows)
     n = len(rows)
     if n == 0:
         raise ParseError("empty matrix input")
@@ -117,11 +138,32 @@ def _rows_to_matrix(rows: list[list], backend: str) -> SquareMatrix:
         if len(row) != n:
             raise ParseError(f"ragged row {i}: expected {n} entries, got {len(row)}")
     if backend == "exact":
-        return SquareMatrix.from_exact_rows(rows)
-    return SquareMatrix.from_array(np.array(rows, dtype=np.complex128))
+        return SquareMatrix.from_exact_rows(entries)
+    return SquareMatrix.from_array(np.array(entries, dtype=np.complex128).reshape(n, n))
 
 
-def _json_value_to_scalar(value, backend: str):
+def _float_entries(rows) -> list[complex]:
+    """Every entry of ``rows`` as a complex, in reading order.
+
+    When every entry is an ASCII literal, as ``matrix_to_csv`` and
+    ``matrix_to_json`` write them, one ``_LITERALS_RE`` match over their
+    comma-joined text checks them all and complex() converts each.
+    Anything else (JSON numbers, non-ASCII digits or padding, a bad entry)
+    goes entry by entry through ``parse_complex_literal``, which names the
+    first bad one.
+    """
+    try:
+        joined = ",".join([v for row in rows for v in row])
+    except TypeError:  # a non-string entry, or a row that is not a sequence
+        joined = None
+    if joined is not None and _LITERALS_RE.fullmatch(joined):
+        literals = joined.replace("i", "j").split(",")
+        if len(literals) == sum(map(len, rows)):  # no entry held a comma
+            return list(map(complex, literals))
+    return [_entry_scalar(v, "float") for row in rows for v in row]
+
+
+def _entry_scalar(value, backend: str):
     if isinstance(value, str):
         return parse_complex_literal(value, backend)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -143,11 +185,7 @@ def parse_matrix(source: str, format: str = "csv", backend: str = "float") -> Sq
         lines = [ln for ln in source.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty matrix input")
-        rows = [
-            [parse_complex_literal(tok, backend) for tok in ln.split(",")]
-            for ln in lines
-        ]
-        return _rows_to_matrix(rows, backend)
+        return _rows_to_matrix([ln.split(",") for ln in lines], backend)
     if format == "json":
         try:
             doc = json.loads(source)
@@ -155,10 +193,7 @@ def parse_matrix(source: str, format: str = "csv", backend: str = "float") -> Sq
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "rows" not in doc:
             raise ParseError("JSON matrix must be an object with a 'rows' field")
-        rows = [
-            [_json_value_to_scalar(v, backend) for v in row] for row in doc["rows"]
-        ]
-        matrix = _rows_to_matrix(rows, backend)
+        matrix = _rows_to_matrix(doc["rows"], backend)
         if "n" in doc and doc["n"] != matrix.n:
             raise ParseError(f"declared n={doc['n']} but parsed {matrix.n} rows")
         return matrix

@@ -207,8 +207,10 @@ def _check_sweep_size(n: int) -> None:
 
 
 def _wbits_row(op: SpinOperator, h: int) -> np.ndarray:
-    # weight for raising the site stored in code bit p is w[h, n-1-p]
-    return op.matrix.to_array()[h, ::-1].copy()
+    # weight for raising the site stored in code bit p is w[h, n-1-p]; a
+    # float matrix lends a reversed view of its row
+    m = op.matrix
+    return (m.entries if m.backend == "float" else m.to_array())[h, ::-1]
 
 
 def _check_level_for_apply(op: SpinOperator, v: LevelVector) -> None:
@@ -224,9 +226,9 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
     """One raising sweep: level h -> h+1, one fused multiply-add per edge."""
     _check_level_for_apply(op, v)
     n, h = op.n, v.level
-    if count is not None:
-        count.tally_edges(bits.binom(n, h) * (n - h))
     src = _level_codes(v)
+    if count is not None:
+        count.tally_edges(len(src) * (n - h))
     dst = _codes_for(n, h + 1, v.is_exact)
     if v.is_exact:
         return LevelVector(n, h + 1, _raise_exact(op, v, src, dst), dst)

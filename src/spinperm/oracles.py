@@ -142,14 +142,14 @@ def determinant_gauss(matrix: SquareMatrix):
     a = matrix.to_array()
     sign = 1.0
     for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot_row = k + int(np.abs(a[k:, k]).argmax())
         if a[pivot_row, k] == 0:
             return 0j
         if pivot_row != k:
             a[[k, pivot_row]] = a[[pivot_row, k]]
             sign = -sign
         factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
+        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]  # np.outer's products, without its wrapper
     return complex(sign * np.prod(np.diag(a)))
 
 

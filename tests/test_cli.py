@@ -1,4 +1,12 @@
+import contextlib
+import gc
+import io
 import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +287,59 @@ def test_selftest_reports_failure(runner, monkeypatch):
     assert "FAIL criterion_7b: broken on purpose" in result.output.splitlines()
     assert result.output.count("PASS ") == len(selftest.CHECKS) - 1
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["perm", "--gen", "n=4,seed=1"],
+    ["det", "--gen", "n=4,seed=1", "--format", "json"],
+    ["bench", "--min-n", "2", "--max-n", "3", "--repeats", "1"],
+    ["selftest"],
+], ids=["perm", "det", "bench", "selftest"])
+def test_redirected_stdout_is_released(monkeypatch, argv):
+    # click.echo would cache a wrapper per stream whose value is the stream,
+    # keeping every redirected buffer, and its output, alive for good
+    for name in selftest.CHECKS:
+        monkeypatch.setitem(selftest.CHECKS, name, lambda: None)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 0
+    assert buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
+def _fresh_python(code: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return done.stdout
+
+
+def test_perm_and_det_import_only_what_they_run():
+    loaded = _fresh_python(
+        "import sys\n"
+        "from spinperm.cli import main\n"
+        "for cmd in ('perm', 'det'):\n"
+        "    main([cmd, '--gen', 'n=4,seed=1'], standalone_mode=False)\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('spinperm')))\n"
+    ).splitlines()[-1].split()
+    assert "spinperm.operator" in loaded
+    unused = {"spectral", "reduction", "graph", "bench", "selftest", "rref"}
+    assert not unused & {m.removeprefix("spinperm.") for m in loaded}
+
+
+def test_star_import_exports_every_public_name():
+    out = _fresh_python(
+        "import spinperm\n"
+        "from spinperm import *\n"
+        "names = spinperm.__all__\n"
+        "print(len(names), sum(name in globals() for name in names),"
+        " sum(name in dir(spinperm) for name in names))\n"
+    )
+    count, imported, listed = map(int, out.split())
+    assert count == imported == listed == 62

@@ -1,12 +1,17 @@
 """Property-based checks of the algebraic invariants."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err
 from spinperm import (
     BasisState,
+    ExactComplex,
     SpinOperator,
     SquareMatrix,
     determinant_gauss,
@@ -18,6 +23,7 @@ from spinperm import (
     permanent_ryser,
     random_matrix,
 )
+from spinperm import bits
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -89,3 +95,38 @@ def test_det_sign_and_permanent_symmetry(seed):
     swapped = SquareMatrix.from_array(arr)
     assert rel_err(determinant_gauss(swapped), -determinant_gauss(m)) < 1e-11
     assert rel_err(permanent_ryser(swapped), permanent_ryser(m)) < 1e-11
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one_block", "split"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_power_of_two_row_scaling_is_exact(monkeypatch, n, statistics, split):
+    # scaling row h by 2**e_h scales every level-h weight, and so every
+    # product and sum of the sweep, exactly: perm(DA) = prod(d) perm(A) and
+    # det(DA) = prod(d) det(A) bit for bit (ROADMAP item 5)
+    if split:
+        monkeypatch.setattr(bits, "BLOCK_CUTOVER_N", 0)
+    rng = np.random.default_rng([n, split])
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e = rng.integers(-20, 21, n)
+    value, count = evaluate(SpinOperator(SquareMatrix.from_array(a), "breve", statistics))
+    scaled, scaled_count = evaluate(
+        SpinOperator(SquareMatrix.from_array(a * np.ldexp(1.0, e)[:, None]), "breve", statistics))
+    total = int(e.sum())
+    expected = complex(math.ldexp(value.real, total), math.ldexp(value.imag, total))
+    as_bits = np.array([scaled, expected]).view(np.uint64).reshape(2, 2)
+    assert as_bits[0].tolist() == as_bits[1].tolist()
+    assert scaled_count == count
+
+
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rational_row_scaling_on_the_exact_backend(n, statistics):
+    rng = np.random.default_rng(n)
+    a = [[ExactComplex.of(int(x), int(y)) for x, y in zip(*rng.integers(-3, 4, (2, n)))]
+         for _ in range(n)]
+    d = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, n), rng.integers(1, 10, n))]
+    scaled = [[ExactComplex.of(dh) * x for x in row] for dh, row in zip(d, a)]
+    value, _ = evaluate(SpinOperator(SquareMatrix.from_exact_rows(a), "breve", statistics))
+    result, _ = evaluate(SpinOperator(SquareMatrix.from_exact_rows(scaled), "breve", statistics))
+    assert result == ExactComplex.of(math.prod(d)) * value
