@@ -74,6 +74,10 @@ class RunConfig:
             raise ParseError(
                 f"{self.command} runs in floating point; --backend exact is for perm and det"
             )
+        if self.tol is not None and self.command in ("reduce", "graph"):
+            raise ParseError(
+                f"{self.command} has no tolerance to set; --tol is for det and spectrum"
+            )
         if self.command == "reduce" and self.variant != "breve":
             raise ParseError("reduce is defined for the breve variant only")
         if self.backend == "exact" and self.generator is not None:

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bits
+from . import bits, rref
 from .errors import RangeError, SizeGuardError
 from .matrix import format_complex
 from .operator import SpinOperator
 from .oracles import lower_triangular_reduce
-from .reduction import UNCHANGED_REL_TOL, ReductionTrace, _nonzero_eps
+from .reduction import UNCHANGED_REL_TOL, ReductionTrace
 
 GRAPH_MAX_N = 12
 PATHSUM_MAX_N = 7
@@ -225,7 +225,8 @@ def graph_from_reduction(trace: ReductionTrace, round: int) -> AbpGraph:
     for s in basis:
         nodes.append(AbpNode(_node_id(s.code), s.text, s.level))
     edges = []
-    for t, s in zip(*np.nonzero(np.abs(state.operator) > _nonzero_eps(state.operator))):
+    eps = rref.zero_threshold(state.operator)
+    for t, s in zip(*np.nonzero(np.abs(state.operator) > eps)):
         src, dst = basis[s], basis[t]
         src_id = _node_id(src.code)
         dst_id = SINK_ID if dst.level == 0 and src.level == n - 1 else _node_id(dst.code)

@@ -154,7 +154,7 @@ def _float_entries(rows) -> list[complex]:
     """
     try:
         joined = ",".join([v for row in rows for v in row])
-    except TypeError:  # a non-string entry, or a row that is not a sequence
+    except TypeError:  # a non-string JSON entry
         joined = None
     if joined is not None and _LITERALS_RE.fullmatch(joined):
         literals = joined.replace("i", "j").split(",")
@@ -171,7 +171,10 @@ def _entry_scalar(value, backend: str):
     if backend == "exact":
         frac = Fraction(value) if isinstance(value, int) else Fraction(repr(value))
         return ExactComplex(frac)
-    return complex(value)
+    try:
+        return complex(value)
+    except OverflowError:  # a JSON integer beyond the double range
+        raise ParseError("matrix entries must be finite") from None
 
 
 def parse_matrix(source: str, format: str = "csv", backend: str = "float") -> SquareMatrix:
@@ -193,7 +196,10 @@ def parse_matrix(source: str, format: str = "csv", backend: str = "float") -> Sq
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "rows" not in doc:
             raise ParseError("JSON matrix must be an object with a 'rows' field")
-        matrix = _rows_to_matrix(doc["rows"], backend)
+        rows = doc["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ParseError("JSON 'rows' must be a list of lists of entries")
+        matrix = _rows_to_matrix(rows, backend)
         if "n" in doc and doc["n"] != matrix.n:
             raise ParseError(f"declared n={doc['n']} but parsed {matrix.n} rows")
         return matrix

@@ -20,12 +20,11 @@ from .operator import BasisState, SpinOperator, dense_operator
 from .oracles import determinant_gauss, lower_triangular_reduce
 
 REDUCE_MAX_N = 10
-KERNEL_REL_TOL = 1e-9
 FACTOR_REL_TOL = 1e-10
 UNCHANGED_REL_TOL = 1e-12
 
 
-def kernel_basis(operator: np.ndarray, tol: float = KERNEL_REL_TOL) -> list[np.ndarray]:
+def kernel_basis(operator: np.ndarray) -> list[np.ndarray]:
     """Null-space basis, each vector led by a 1 at its first nonzero coordinate.
 
     Vectors are mutually reduced at the leads and returned in ascending
@@ -34,7 +33,7 @@ def kernel_basis(operator: np.ndarray, tol: float = KERNEL_REL_TOL) -> list[np.n
     operator = np.asarray(operator, dtype=np.complex128)
     if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
         raise ValueError("kernel_basis expects a square operator")
-    return rref.kernel_leading_basis(operator, tol)
+    return rref.kernel_leading_basis(operator)
 
 
 @dataclass
@@ -84,7 +83,7 @@ class ReductionTrace:
             )
         cycle = []
         basis = self.rounds[-1].basis if self.rounds else self.initial.basis
-        eps = _nonzero_eps(self.final_operator)
+        eps = rref.zero_threshold(self.final_operator)
         for t, s in zip(*np.nonzero(np.abs(self.final_operator) > eps)):
             cycle.append(
                 {
@@ -103,11 +102,6 @@ class ReductionTrace:
         }
 
 
-def _nonzero_eps(a: np.ndarray) -> float:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return KERNEL_REL_TOL * scale if scale > 0 else KERNEL_REL_TOL
-
-
 def initial_state(op: SpinOperator) -> ReductionState:
     n = op.n
     if n > REDUCE_MAX_N:
@@ -119,8 +113,8 @@ def initial_state(op: SpinOperator) -> ReductionState:
 def _fill_stats(old: np.ndarray, new: np.ndarray, keep: list[int]) -> tuple[int, int, int]:
     """Classify the nonzeros of the reduced operator against the old one."""
     old_kept = old[np.ix_(keep, keep)]
-    eps_new = _nonzero_eps(new)
-    eps_old = _nonzero_eps(old)
+    eps_new = rref.zero_threshold(new)
+    eps_old = rref.zero_threshold(old)
     reweighted = unchanged = fresh = 0
     for t, s in zip(*np.nonzero(np.abs(new) > eps_new)):
         new_val = new[t, s]
@@ -134,19 +128,20 @@ def _fill_stats(old: np.ndarray, new: np.ndarray, keep: list[int]) -> tuple[int,
     return reweighted, unchanged, fresh
 
 
-def factor_round(state: ReductionState, tol: float = KERNEL_REL_TOL) -> ReductionState:
+def factor_round(state: ReductionState) -> ReductionState:
     """One B/A factorization round; a full-rank input passes through unchanged."""
     op = state.operator
     d = op.shape[0]
-    vectors = kernel_basis(op, tol)
+    vectors = kernel_basis(op)
     if not vectors:
         return ReductionState(
             round=state.round + 1, operator=op.copy(), basis=list(state.basis)
         )
     leads = []
     for v in vectors:
-        lead = rref.leading_index(v, tol)
-        if lead is None or abs(v[lead]) < tol * max(float(np.max(np.abs(v))), 1.0):
+        lead = rref.leading_index(v)
+        floor = rref.RANK_REL_TOL * max(float(np.max(np.abs(v))), 1.0)
+        if lead is None or abs(v[lead]) < floor:
             raise ZeroPivotError(
                 f"round {state.round + 1}: kernel vector without a usable "
                 f"leading coordinate"
@@ -191,7 +186,7 @@ def _validate_final(op: SpinOperator, final: np.ndarray, basis: list[BasisState]
         raise ConsistencyError(
             f"reduction ended at dimension {final.shape[0]}, expected {n}"
         )
-    eps = _nonzero_eps(final)
+    eps = rref.zero_threshold(final)
     targets, sources = np.nonzero(np.abs(final) > eps)
     if len(sources) != n:
         raise ConsistencyError(
@@ -205,24 +200,19 @@ def _validate_final(op: SpinOperator, final: np.ndarray, basis: list[BasisState]
             raise ConsistencyError("final cycle does not step one level at a time")
 
 
-def reduce_fully(
-    op: SpinOperator,
-    tol: float = KERNEL_REL_TOL,
-    perturb: bool = False,
-    perturb_seed: int = 0,
-) -> ReductionTrace:
+def reduce_fully(op: SpinOperator, perturb: bool = False) -> ReductionTrace:
     """Run n-1 factorization rounds down to the n-state cycle.
 
-    ``perturb`` adds a 1e-30-scaled random offset to every matrix entry
-    before reducing; this unsticks structurally zero pivots for exploratory
-    runs at the cost of meaningless reduced weights.
+    ``perturb`` adds a 1e-30-scaled random offset (seed 0) to every matrix
+    entry before reducing; this unsticks structurally zero pivots for
+    exploratory runs at the cost of meaningless reduced weights.
     """
     if op.variant != "breve":
         raise ValueError("row reduction is defined for the breve variant")
     if perturb:
         arr = op.matrix.to_array()
         scale = max(float(np.max(np.abs(arr))), 1.0)
-        rng = np.random.default_rng(perturb_seed)
+        rng = np.random.default_rng(0)
         noise = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
         op = SpinOperator(
             SquareMatrix.from_array(arr + 1e-30 * scale * noise),
@@ -233,10 +223,10 @@ def reduce_fully(
     initial = state
     rounds = []
     for _ in range(op.n - 1):
-        state = factor_round(state, tol)
+        state = factor_round(state)
         rounds.append(state)
     _validate_final(op, state.operator, state.basis)
-    eps = _nonzero_eps(state.operator)
+    eps = rref.zero_threshold(state.operator)
     entries = state.operator[np.abs(state.operator) > eps]
     final_product = complex(np.prod(entries))
     return ReductionTrace(

@@ -7,21 +7,26 @@ import numpy as np
 RANK_REL_TOL = 1e-9
 
 
-def _threshold(a: np.ndarray, rel_tol: float) -> float:
+def zero_threshold(a: np.ndarray) -> float:
+    """Magnitude at or below which an entry of ``a`` counts as zero.
+
+    ``RANK_REL_TOL`` times the largest magnitude in ``a``, or
+    ``RANK_REL_TOL`` itself when ``a`` is empty or all zero.
+    """
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return rel_tol * scale if scale > 0 else rel_tol
+    return RANK_REL_TOL * scale if scale > 0 else RANK_REL_TOL
 
 
-def rref(a: np.ndarray, rel_tol: float = RANK_REL_TOL):
+def rref(a: np.ndarray):
     """Reduced row echelon form with partial pivoting by magnitude.
 
-    Returns ``(reduced, pivot_columns)``.  Entries below the relative
-    threshold are treated as zero.
+    Returns ``(reduced, pivot_columns)``.  Entries at or below
+    ``zero_threshold`` are treated as zero.
     """
     r = np.array(a, dtype=np.complex128)
     if r.ndim != 2:
         raise ValueError("rref expects a 2-d array")
-    eps = _threshold(r, rel_tol)
+    eps = zero_threshold(r)
     nrows, ncols = r.shape
     pivots = []
     row = 0
@@ -41,17 +46,22 @@ def rref(a: np.ndarray, rel_tol: float = RANK_REL_TOL):
     return r, pivots
 
 
-def matrix_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    return len(rref(a, rel_tol)[1])
+def matrix_rank(a: np.ndarray) -> int:
+    return len(rref(a)[1])
 
 
-def nullity(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    return a.shape[1] - matrix_rank(a, rel_tol)
+def nullity(a: np.ndarray) -> int:
+    return a.shape[1] - matrix_rank(a)
 
 
-def nullspace(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> list[np.ndarray]:
-    """A spanning set for the kernel, one vector per free column."""
-    r, pivots = rref(a, rel_tol)
+def nullspace(a: np.ndarray) -> list[np.ndarray]:
+    """A kernel basis, one vector per free column, in ascending column order.
+
+    The vector of free column f is exactly 1 at f and exactly 0 at every
+    other free column; at pivot columns right of f it holds only rounding
+    residue below the zero threshold.
+    """
+    r, pivots = rref(a)
     ncols = a.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     vectors = []
@@ -64,46 +74,22 @@ def nullspace(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> list[np.ndarray]:
     return vectors
 
 
-def leading_reduced_basis(vectors, rel_tol: float = RANK_REL_TOL) -> list[np.ndarray]:
-    """Canonicalize a basis so each vector leads with 1 at its first nonzero.
+def kernel_leading_basis(a: np.ndarray) -> list[np.ndarray]:
+    """Kernel basis in the leading-coordinate canonical form, by one elimination.
 
-    This is the lower-triangular reduced form: leads are distinct, every
-    other vector vanishes at each lead, and vectors come back sorted by
-    ascending lead.  The result depends only on the spanned subspace.
+    Each vector is exactly 1 at its lead, its first coordinate above the
+    zero threshold, and exactly 0 at the leads of the others; the vectors
+    come in ascending lead order.  That form depends only on the kernel.
+    Eliminating the columns right to left gives it directly: the free
+    column of each ``nullspace`` vector of the column-reversed matrix is
+    its last coordinate above the threshold, which is the first once the
+    vector is read back in the original order.  So there is no second pass
+    that re-reduces a trailing-form basis to this form, vector by vector.
     """
-    rows = [np.array(v, dtype=np.complex128) for v in vectors]
-    done: list[tuple[int, np.ndarray]] = []
-    while rows:
-        leads = []
-        for v in rows:
-            eps = _threshold(v, rel_tol)
-            nz = np.flatnonzero(np.abs(v) > eps)
-            leads.append(nz[0] if nz.size else None)
-        candidates = [
-            (lead, -abs(rows[i][lead]), i)
-            for i, lead in enumerate(leads)
-            if lead is not None
-        ]
-        if not candidates:
-            break
-        lead, _, i = min(candidates)
-        picked = rows.pop(i)
-        pivot = picked / picked[lead]
-        for v in rows:
-            v -= v[lead] * pivot
-        for _, v in done:
-            v -= v[lead] * pivot
-        done.append((lead, pivot))
-    done.sort(key=lambda item: item[0])
-    return [v for _, v in done]
+    return [v[::-1] for v in reversed(nullspace(a[:, ::-1]))]
 
 
-def kernel_leading_basis(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> list[np.ndarray]:
-    """Kernel basis in the leading-coordinate canonical form."""
-    return leading_reduced_basis(nullspace(a, rel_tol), rel_tol)
-
-
-def leading_index(v: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int | None:
-    eps = _threshold(v, rel_tol)
-    nz = np.flatnonzero(np.abs(v) > eps)
+def leading_index(v: np.ndarray) -> int | None:
+    """Index of the first entry of ``v`` above ``zero_threshold(v)``."""
+    nz = np.flatnonzero(np.abs(v) > zero_threshold(v))
     return int(nz[0]) if nz.size else None

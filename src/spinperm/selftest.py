@@ -23,7 +23,6 @@ from .operator import SpinOperator, dense_operator, evaluate, spin_op_count
 from .oracles import determinant_gauss, permanent_naive, permanent_ryser
 from .reduction import (
     UNCHANGED_REL_TOL,
-    _nonzero_eps,
     fermionic_matches_gaussian,
     reduce_fully,
 )
@@ -207,7 +206,7 @@ def _edges(state):
     labels = [s.text for s in state.basis]
     return {
         (labels[s], labels[t]): complex(op[t, s])
-        for t, s in zip(*np.nonzero(np.abs(op) > _nonzero_eps(op)))
+        for t, s in zip(*np.nonzero(np.abs(op) > rref.zero_threshold(op)))
     }
 
 

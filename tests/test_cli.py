@@ -268,6 +268,55 @@ def test_non_finite_result_exits_1(runner, tmp_path, command, rows, backend):
     assert json.loads(lines[0])["error"] == "non_finite"
 
 
+def input_error(result) -> str:
+    """The message of a JSON input error, the only output of an exit-2 run."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "input"
+    return err["message"]
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("command", ["perm", "det"])
+@pytest.mark.parametrize("rows", [
+    5,
+    "12",
+    ["12", "34"],
+    [{"1": 0, "2": 0}, {"3": 0, "4": 0}],
+    [[1, 0], 5],
+], ids=["number", "string", "string_rows", "object_rows", "number_row"])
+def test_json_rows_must_be_a_list_of_lists(runner, tmp_path, command, backend, rows):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": rows}))
+    result = runner.invoke(main, [command, "--input", str(path), "--backend", backend])
+    assert "list of lists" in input_error(result)
+
+
+@pytest.mark.parametrize("command", ["perm", "det"])
+def test_json_integer_beyond_double_range(runner, tmp_path, command):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[1%s, 0], [0, 1]]}' % ("0" * 400))
+    result = runner.invoke(main, [command, "--input", str(path)])
+    assert input_error(result) == "matrix entries must be finite"
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("1e400,0\n0,1\n")
+    result = runner.invoke(main, [command, "--input", str(csv_path)])
+    assert input_error(result) == "matrix entries must be finite"
+    # the exact backend holds the integer and reports the unrepresentable result
+    result = runner.invoke(main, [command, "--input", str(path), "--backend", "exact"])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr)["error"] == "non_finite"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce"], ["graph"], ["graph", "--round", "1", "--format", "json"],
+])
+def test_reduce_and_graph_reject_tol(runner, argv):
+    result = runner.invoke(main, [*argv, "--gen", "n=3,seed=1", "--tol", "5"])
+    assert "--tol" in input_error(result)
+
+
 def test_selftest_reports_lines(runner):
     result = runner.invoke(main, ["selftest"])
     lines = result.output.strip().splitlines()

@@ -282,3 +282,22 @@ def test_trace_json(m3):
 def test_perturb_mode_runs(m3):
     trace = reduce_fully(SpinOperator(m3, "breve", "bosonic"), perturb=True)
     assert rel_err(trace.final_product, permanent_ryser(m3)) < 1e-6
+
+
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_one_elimination_per_kernel_basis(monkeypatch, statistics):
+    # the counts perfbench's rref.rref_calls row reads for reduce and graph
+    calls = []
+
+    def counting(a, _fn=rref.rref):
+        calls.append(a.shape)
+        return _fn(a)
+
+    monkeypatch.setattr(rref, "rref", counting)
+    n = 5
+    op = SpinOperator(random_matrix(n, 3), "breve", statistics)
+    kernel_basis(dense_operator(op))
+    assert len(calls) == 1
+    calls.clear()
+    reduce_fully(op)
+    assert len(calls) == n - 1

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from spinperm import rref
+from spinperm import SpinOperator, random_matrix, rref
+from spinperm.operator import dense_operator
 
 
 def test_rref_identity():
@@ -24,23 +26,40 @@ def test_nullspace_vectors_annihilated():
         assert np.linalg.norm(a @ v) < 1e-10 * np.linalg.norm(v)
 
 
-def test_leading_reduced_basis_canonical():
-    v1 = np.array([0, 1, 2, 3], dtype=np.complex128)
-    v2 = np.array([0, 2, 4, 7], dtype=np.complex128)
-    basis = rref.leading_reduced_basis([v1, v2])
+def assert_leading_canonical(a, basis):
+    """Leads ascend; each vector is 1 at its lead and 0 at the others'; A v = 0."""
     leads = [rref.leading_index(v) for v in basis]
-    assert leads == [1, 3]
-    # lead coefficient one, mutually reduced
-    assert basis[0][1] == 1 and abs(basis[0][3]) < 1e-12
-    assert basis[1][3] == 1 and abs(basis[1][1]) < 1e-12
-    # canonical form is basis-independent
-    again = rref.leading_reduced_basis([v1 + v2, 2 * v2 - v1])
+    assert None not in leads and leads == sorted(set(leads))
+    for v, lead in zip(basis, leads):
+        assert v[lead] == 1
+        assert all(v[other] == 0 for other in leads if other != lead)
+        assert np.linalg.norm(a @ v) <= 1e-10 * np.linalg.norm(v)
+    assert len(basis) == rref.nullity(a)
+
+
+def test_kernel_leading_basis_by_hand():
+    # kernel spanned by (0, 1, 2, 3) and (0, 2, 4, 7)
+    a = np.array([[1, 0, 0, 0], [0, 2, -1, 0]], dtype=np.complex128)
+    basis = rref.kernel_leading_basis(a)
+    assert_leading_canonical(a, basis)
+    assert [v.tolist() for v in basis] == [[0, 1, 2, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kernel_leading_basis_canonical_and_basis_independent(n, statistics, seed):
+    a = dense_operator(SpinOperator(random_matrix(n, seed), "breve", statistics))
+    basis = rref.kernel_leading_basis(a)
+    assert_leading_canonical(a, basis)
+    # G @ A has the same kernel and different rows: the same canonical basis
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+    again = rref.kernel_leading_basis(g @ a)
+    assert_leading_canonical(g @ a, again)
+    assert len(again) == len(basis)
     for u, v in zip(basis, again):
-        assert np.allclose(u, v)
-
-
-def test_leading_reduced_basis_full_rank_input():
-    assert rref.leading_reduced_basis([]) == []
+        assert np.allclose(u, v, rtol=0, atol=1e-12)
 
 
 def test_kernel_leading_basis_full_rank():
