@@ -17,6 +17,12 @@ pulls of each level, with their block offsets, chunks and weight indices,
 are planned once per layout (``_plan``), so a step does no layout
 arithmetic; a one-block level is a plan with one pull.
 
+Tiles: no chunk of a pull gathers more than ``_PULL_ELEMENTS`` amplitudes.
+A chunk takes whole terms for all destinations while one term's gather
+fits, and otherwise one term for a tile of destinations.  So the raise's
+scratch is fixed whatever the block size, and every destination still
+sums its terms in term order from 0.0.
+
 Jordan-Wigner sign: exactly i occupied bits lie below the bit that term i
 raises, within the b or t bits of its table.  A low bit has no top bit
 below it, so term i's sign is (-1)**i; a top bit lies above all k = h-j
@@ -51,10 +57,13 @@ HAVE_NUMBA = False
 # bounds the cache at about 8 MB (16 bytes per edge).
 _TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-# Terms of one pull gathered at once: as many as fit this many amplitudes
-# (256 KB), and at least one, so a large block keeps one block-sized
-# temporary while a small level costs a few numpy calls.  Of the sizes tried
-# from 2**11 to 2**20, 2**14 swept n = 12..18 fastest on a 2-core x86-64 host.
+# Amplitudes one chunk of a pull gathers at most (256 KB): as many whole
+# terms as fit, or one term over a tile of destinations once a term alone
+# does not (n >= 19), so a large block needs no block-sized temporary while a
+# small level costs a few numpy calls.  A tile holds at least one
+# destination, whose gather is at most C(14, 7) amplitudes under the size
+# guard.  Of the sizes tried from 2**11 to 2**20, 2**14 swept n = 12..18
+# fastest on a 2-core x86-64 host.
 _PULL_ELEMENTS = 1 << 14
 
 # (n, h, b) -> ``_plan(n, h)``: views into ``_TABLES`` and ``_INDEX`` and a
@@ -97,45 +106,47 @@ def _plan(n: int, h: int) -> tuple:
     """The pulls of one raise from level h, built once per layout.
 
     One entry per pull, in block order: ``(src, dst, transposed, take,
-    fresh, chunks)``.  ``src`` and ``dst`` are ``(start, stop, shape)`` of a
-    block of level h and of level h+1; ``transposed`` marks a low-bit pull,
-    which maps columns; ``take`` marks a pull whose source view is
-    contiguous, so ``ndarray.take`` gathers from it without copying it
-    whole; ``fresh`` marks the first pull into its block, which every block
-    of level h+1 has; ``chunks`` are ``(index, pos)`` runs of at most
-    ``_PULL_ELEMENTS`` gathered amplitudes, where ``index`` is the table's
-    ``sbit`` as indices into ``_weights`` (``_weight_index``).  A one-block
-    level (b = n) is a plan with one entry.
+    chunks)``.  ``src`` and ``dst`` are ``(start, stop, shape)`` of a block
+    of level h and of level h+1; ``transposed`` marks a low-bit pull, which
+    maps columns; ``take`` marks a pull whose source view is contiguous, so
+    ``ndarray.take`` gathers from it without copying it whole.  ``chunks``
+    are ``(lo, hi, index, pos, fresh)``: the terms ``index`` and ``pos`` of
+    destinations lo..hi-1, at most ``_PULL_ELEMENTS`` gathered amplitudes,
+    where ``index`` is the table's ``sbit`` as indices into ``_weights``
+    (``_weight_index``); ``fresh`` marks the first chunk into those
+    destinations of their block.  A one-block level (b = n) is a plan with
+    one entry.
     """
     b = bits.low_bits(n)
     plan = _PLANS.get((n, h, b))
     if plan is None:
         t = n - b
         into = _offsets(n, h + 1)
-        pulls = []
-        for j, (start, rows, cols) in _offsets(n, h).items():
+        plan = []
+        for i, (j, (start, rows, cols)) in enumerate(_offsets(n, h).items()):
             src, k = (start, start + rows * cols, (rows, cols)), h - j
+            # block j of level h+1 first receives the top pull from block
+            # j-1, so only the first block's low pull is fresh
             if k < b:  # raise a low bit: column map within block j
-                pulls.append(_pull_plan(n, src, into[j], True, rows, b, k, 0, 0))
+                plan.append(_pull_plan(n, src, into[j], True, i == 0, rows, b, k, 0, 0))
             if j < t:  # raise a top bit: row map from block j into block j+1
-                pulls.append(_pull_plan(n, src, into[j + 1], False, cols, t, j, b, k & 1))
-        plan, filled = [], set()
-        for src, dst, transposed, take, chunks in pulls:
-            plan.append((src, dst, transposed, take, dst[0] not in filled, chunks))
-            filled.add(dst[0])
+                plan.append(_pull_plan(n, src, into[j + 1], False, True, cols, t, j, b, k & 1))
         plan = _PLANS[(n, h, b)] = tuple(plan)
     return plan
 
 
-def _pull_plan(n, src, dst, transposed, width, nbits, k, offset, flip):
+def _pull_plan(n, src, dst, transposed, fresh, width, nbits, k, offset, flip):
     """One pull of ``_plan``, into the ``(start, rows, cols)`` block ``dst``
-    of level h+1, without its ``fresh`` flag."""
+    of level h+1; each destination gathers ``width`` amplitudes per term."""
     start, rows, cols = dst
     pos = _table(nbits, k)[1]
     index = _weight_index(n, nbits, k, offset, flip)[..., None]
-    # as many terms as fit _PULL_ELEMENTS gathered amplitudes, and at least one
-    step = max(1, _PULL_ELEMENTS // (pos.shape[1] * width))
-    chunks = tuple((index[i:i + step], pos[i:i + step]) for i in range(0, len(pos), step))
+    terms, dests = pos.shape
+    step = max(1, _PULL_ELEMENTS // (dests * width))  # terms per chunk
+    tile = min(dests, _PULL_ELEMENTS // (step * width))  # destinations per chunk
+    chunks = tuple((d, min(d + tile, dests), index[i:i + step, d:d + tile],
+                    pos[i:i + step, d:d + tile], fresh and i == 0)
+                   for d in range(0, dests, tile) for i in range(0, terms, step))
     take = not transposed or src[2][0] == 1  # a one-row block's columns are contiguous
     return src, (start, start + rows * cols, (rows, cols)), transposed, take, chunks
 
@@ -173,31 +184,30 @@ def _weights(wbits, fermionic: bool):
     return np.concatenate((wbits, -wbits if fermionic else wbits))
 
 
-def _pull(x, o, chunks, w, take: bool, fresh: bool) -> None:
+def _pull(x, o, index, pos, w, take: bool, fresh: bool) -> None:
     """``o[d] += sum_i w[index[i, d]] * x[pos[i, d]]``, gathering along axis 0.
 
-    Each chunk of terms is summed in term order from 0.0, as ``sum`` does.
-    A fresh ``o`` is not read: the first chunk's sum is written into it.
+    The chunk's terms are summed in term order from 0.0, as ``sum`` does.
+    A fresh ``o`` is not read: the sum is written into it.
     """
-    for index, pos in chunks:
-        t = x.take(pos, axis=0) if take else x[pos]
-        t *= w.take(index)
-        if fresh:
-            np.add.reduce(t, axis=0, out=o, initial=0.0)
-            fresh = False
-        else:
-            o += t[0] if len(t) == 1 else t.sum(axis=0)
+    t = x.take(pos, axis=0) if take else x[pos]
+    t *= w.take(index)
+    if fresh:
+        np.add.reduce(t, axis=0, out=o, initial=0.0)
+    else:
+        o += t[0] if len(t) == 1 else t.sum(axis=0)
 
 
 def _raise(src, amps, wbits, fermionic, size: int):
     n, h = wbits.shape[0], int(src[0]).bit_count()
     w = _weights(wbits, fermionic)
-    out = np.empty(size, dtype=np.complex128)  # every block has a fresh pull
-    for (s0, s1, shape), (d0, d1, into), transposed, take, fresh, chunks in _plan(n, h):
+    out = np.empty(size, dtype=np.complex128)  # every destination has a fresh chunk
+    for (s0, s1, shape), (d0, d1, into), transposed, take, chunks in _plan(n, h):
         a, o = amps[s0:s1].reshape(shape), out[d0:d1].reshape(into)
         if transposed:
             a, o = a.T, o.T
-        _pull(a, o, chunks, w, take, fresh)
+        for lo, hi, index, pos, fresh in chunks:
+            _pull(a, o[lo:hi], index, pos, w, take, fresh)
     return out
 
 

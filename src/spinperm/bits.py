@@ -124,10 +124,14 @@ def block_codes(n: int, h: int) -> np.ndarray:
     b = low_bits(n)
     if b == n:
         return shared_level_codes(n, h)
-    blocks = [((shared_level_codes(n - b, j) << b)[:, None]
-               | shared_level_codes(b, h - j)).ravel()
-              for j, _, _ in level_blocks(n, h)]
-    return np.concatenate([np.empty(0, dtype=_LEVEL_DTYPE), *blocks])
+    out = np.empty(binom(n, h), dtype=_LEVEL_DTYPE)
+    start = 0
+    for j, rows, cols in level_blocks(n, h):  # each block written in place
+        block = out[start:start + rows * cols].reshape(rows, cols)
+        np.bitwise_or((shared_level_codes(n - b, j) << b)[:, None],
+                      shared_level_codes(b, h - j), out=block)
+        start += rows * cols
+    return out
 
 
 def parity_below(code: int, bit: int) -> int:

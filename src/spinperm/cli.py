@@ -147,9 +147,12 @@ def _resolve_tol(tol: float | None, default: float) -> float:
     if tol is not None:
         return tol
     env = os.environ.get(TOL_ENV)
-    if env:
+    if not env:
+        return default
+    try:
         return float(env)
-    return default
+    except ValueError:
+        raise ValueError(f"{TOL_ENV}={env!r} is not a number") from None
 
 
 def _write(text: str) -> None:
@@ -259,9 +262,9 @@ def det(input_path, gen_spec, backend, variant, tol, output, format):
         config = _build_config("det", input_path, gen_spec, backend, variant,
                                "fermionic", tol, output, format)
         matrix = _load_matrix(config)
+        tol_value = _resolve_tol(config.tol, 1e-9)
     except (ParseError, ValueError) as exc:
         _fail(EXIT_INPUT, "input", str(exc))
-    tol_value = _resolve_tol(config.tol, 1e-9)
     try:
         with _quiet_overflow():
             value, count = evaluate(SpinOperator(matrix, config.variant, "fermionic"))
@@ -299,9 +302,9 @@ def spectrum(input_path, gen_spec, backend, variant, statistics, tol, output, fo
         config = _build_config("spectrum", input_path, gen_spec, backend, variant,
                                statistics, tol, output, format)
         matrix = _load_matrix(config)
+        tol_value = _resolve_tol(config.tol, 1e-8)
     except (ParseError, ValueError) as exc:
         _fail(EXIT_INPUT, "input", str(exc))
-    tol_value = _resolve_tol(config.tol, 1e-8)
     try:
         op = SpinOperator(matrix.to_float(), config.variant, config.statistics)
         report = verify_spectrum(op, tol=tol_value)

@@ -178,8 +178,14 @@ def _symbolic_candidates(op: SpinOperator) -> list[tuple[str, complex]]:
             out.append((f"w'_{{{r},{c}}}", complex(val)))
         out.append(("w''_{0,0}", complex(rounds[1][(0, 0)])))
     else:
+        # the closed forms divide by w[2,2] and w'_{1,1}; without them the
+        # graph keeps numeric labels
+        if w[2, 2] == 0:
+            return []
         w10p = w[1, 0] + w[1, 2] * w[2, 0] / w[2, 2]
         w11p = w[1, 1] + w[1, 2] * w[2, 1] / w[2, 2]
+        if w11p == 0:
+            return []
         x = (w[1, 0] * w[2, 1] + w[1, 1] * w[2, 0]) / w[2, 2]
         w00p = w[0, 0] + (w[0, 1] * w10p + w[0, 2] * x) / w11p
         out.extend(

@@ -194,11 +194,9 @@ def _level_codes(v: LevelVector) -> np.ndarray:
 
 def _check_sweep_size(n: int) -> None:
     # two amplitude arrays (complex128) and two code arrays (int64) of the
-    # middle level are live at once, plus the raise's one temporary: a
-    # complex128 block, at most C(t, t//2) * C(b, b//2) states
-    b = bits.low_bits(n)
-    block = bits.binom(n - b, (n - b) // 2) * bits.binom(b, b // 2)
-    need = 48 * bits.binom(n, n // 2) + 16 * block
+    # middle level are live at once, plus the raise's fixed scratch: one
+    # chunk's gather and its sum, each at most _PULL_ELEMENTS complex128
+    need = 48 * bits.binom(n, n // 2) + 2 * 16 * _kernels._PULL_ELEMENTS
     if need > SWEEP_MAX_BYTES:
         raise SizeGuardError(
             f"a sweep at n={n} needs about {need / 2**30:.1f} GiB for its middle "

@@ -1,6 +1,7 @@
 """The float sweep's block layout (``bits.block_codes``, ``_kernels``)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,39 @@ def test_evaluate_on_split_layout_matches_oracles(monkeypatch, n, statistics):
     for variant in ("breve", "tilde"):
         value, _ = evaluate(SpinOperator(m, variant, statistics))
         assert rel_err(value, oracle(m)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(16, 23))
+def test_pull_chunks_gather_a_fixed_tile(n):
+    for h in range(n):
+        for (_, _, shape), (_, _, into), transposed, _, chunks in _kernels._plan(n, h):
+            width, dests = (shape[0], into[1]) if transposed else (shape[1], into[0])
+            terms = np.zeros(dests, dtype=int)
+            fresh = np.zeros(dests, dtype=int)
+            for lo, hi, index, pos, first in chunks:
+                assert index.shape[:2] == pos.shape == (pos.shape[0], hi - lo)
+                assert pos.size * width <= _kernels._PULL_ELEMENTS
+                terms[lo:hi] += pos.shape[0]
+                fresh[lo:hi] += first
+            # the tiles cover every destination alike, a fresh pull's once
+            assert terms.min() == terms.max() > 0
+            assert fresh.min() == fresh.max() <= 1
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_sweep_peak_is_two_levels_and_a_fixed_scratch(n):
+    # live at once: amplitudes (16 bytes a state) and codes (8) of two
+    # levels, one chunk's gather and its sum, and one numpy ufunc buffer
+    op = SpinOperator(random_matrix(n, 1), "breve", "bosonic")
+    evaluate(op)  # tables, plans and shared codes are built once per process
+    tracemalloc.start()
+    try:
+        evaluate(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    levels = max(24 * (bits.binom(n, h) + bits.binom(n, h + 1)) for h in range(n))
+    assert peak <= levels + 2 * 16 * _kernels._PULL_ELEMENTS + 16 * np.getbufsize()
 
 
 def test_kernel_boundary_sees_every_level_and_edge(monkeypatch):

@@ -252,6 +252,22 @@ def test_tol_env_default(runner, monkeypatch):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("command", ["det", "spectrum"])
+def test_tol_env_not_a_number_is_input_error(runner, monkeypatch, command):
+    monkeypatch.setenv("SPINPERM_TOL", "abc")
+    result = runner.invoke(main, [command, "--gen", "n=3"])
+    assert input_error(result) == "SPINPERM_TOL='abc' is not a number"
+
+
+def test_graph_zero_pivots_keep_numeric_labels(runner):
+    # w[2,2] = 0 here, so the bosonic n=3 closed forms are undefined: the
+    # reduced edges keep numeric labels, with no numpy RuntimeWarning
+    result = invoke(runner, ["graph", "--gen", "n=3,seed=1,kind=zero_one", "--round", "1"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("digraph abp {")
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("command,rows,backend", [
     ("perm", [["1e30"] * 12] * 12, "float"),
     ("det", [["1e200", "0"], ["0", "1e200"]], "float"),

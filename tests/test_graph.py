@@ -8,11 +8,13 @@ from spinperm import (
     RangeError,
     SizeGuardError,
     SpinOperator,
+    SquareMatrix,
     determinant_gauss,
     evaluate,
     random_matrix,
 )
 from spinperm.graph import (
+    _symbolic_candidates,
     count_paths,
     export_dot,
     graph_from_operator,
@@ -43,6 +45,15 @@ def test_graph_fermionic_negative_labels(m3):
     g = graph_from_operator(SpinOperator(m3, "breve", "fermionic"))
     negatives = sorted(e.display for e in g.edges if e.display.startswith("-"))
     assert negatives == ["-w_{1,0}", "-w_{1,0}", "-w_{1,1}", "-w_{2,1}"]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 1], [1, 1, 1], [1, 1, 0]],  # w[2,2] = 0
+    [[1, 1, 1], [1, 1, 1], [1, -1, 1]],  # w'_{1,1} = w[1,1] + w[1,2] w[2,1] / w[2,2] = 0
+], ids=["w22", "w11_reduced"])
+def test_bosonic_candidates_need_nonzero_pivots(rows):
+    op = SpinOperator(SquareMatrix.from_array(np.array(rows)), "breve", "bosonic")
+    assert _symbolic_candidates(op) == []
 
 
 def test_graph_levels_step_by_one(m3):
