@@ -1,5 +1,9 @@
 """The sweep's numeric kernel: one level raise in numpy, on the block layout.
 
+Amplitudes are complex128 (float backend) or objects holding ExactComplex
+(exact backend); both run the same plan, with the same numpy calls, and
+only the dtype differs.
+
 Kernels work in "code" space: bit ``p`` of a basis code is the occupation
 of site ``n-1-p``.  ``wbits[p]`` must hold the weight for raising the site
 stored in bit ``p``.  Amplitudes are in block order (``bits.block_codes``):
@@ -21,7 +25,7 @@ Tiles: no chunk of a pull gathers more than ``_PULL_ELEMENTS`` amplitudes.
 A chunk takes whole terms for all destinations while one term's gather
 fits, and otherwise one term for a tile of destinations.  So the raise's
 scratch is fixed whatever the block size, and every destination still
-sums its terms in term order from 0.0.
+sums its terms in term order from the dtype's zero (``_ZERO``).
 
 Jordan-Wigner sign: exactly i occupied bits lie below the bit that term i
 raises, within the b or t bits of its table.  A low bit has no top bit
@@ -43,6 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bits
+from .exact import EXACT_ZERO
 
 # perfbench's environment block reads these two names.
 HAVE_NUMBA = False
@@ -75,6 +80,11 @@ _PLANS: dict[tuple[int, int, int], tuple] = {}
 # re-indexed, one low and two top variants per table, so at most three times
 # the ``sbit`` entries (24 bytes per edge of the b- and t-bit operators).
 _INDEX: dict[tuple[int, int, int, int, int], np.ndarray] = {}
+
+
+# Where a fresh pull's sum starts, by amplitude dtype: 0.0 as ``sum`` starts
+# a float sum, and the exact zero, which an ExactComplex can be added to.
+_ZERO = {np.dtype(np.complex128): 0.0, np.dtype(object): EXACT_ZERO}
 
 
 def kernel_name() -> str:
@@ -187,13 +197,13 @@ def _weights(wbits, fermionic: bool):
 def _pull(x, o, index, pos, w, take: bool, fresh: bool) -> None:
     """``o[d] += sum_i w[index[i, d]] * x[pos[i, d]]``, gathering along axis 0.
 
-    The chunk's terms are summed in term order from 0.0, as ``sum`` does.
-    A fresh ``o`` is not read: the sum is written into it.
+    The chunk's terms are summed in term order from ``_ZERO``, as ``sum``
+    does.  A fresh ``o`` is not read: the sum is written into it.
     """
     t = x.take(pos, axis=0) if take else x[pos]
     t *= w.take(index)
     if fresh:
-        np.add.reduce(t, axis=0, out=o, initial=0.0)
+        np.add.reduce(t, axis=0, out=o, initial=_ZERO[o.dtype])
     else:
         o += t[0] if len(t) == 1 else t.sum(axis=0)
 
@@ -201,7 +211,7 @@ def _pull(x, o, index, pos, w, take: bool, fresh: bool) -> None:
 def _raise(src, amps, wbits, fermionic, size: int):
     n, h = wbits.shape[0], int(src[0]).bit_count()
     w = _weights(wbits, fermionic)
-    out = np.empty(size, dtype=np.complex128)  # every destination has a fresh chunk
+    out = np.empty(size, dtype=amps.dtype)  # every destination has a fresh chunk
     for (s0, s1, shape), (d0, d1, into), transposed, take, chunks in _plan(n, h):
         a, o = amps[s0:s1].reshape(shape), out[d0:d1].reshape(into)
         if transposed:
@@ -216,6 +226,7 @@ def apply_level(src, dst, amps, wbits, fermionic: bool):
     return _raise(src, amps, wbits, fermionic, dst.shape[0])
 
 
-def apply_closing(src, amps, wbits, fermionic: bool, full: int) -> complex:
-    """Raise level n-1 into its single successor ``full`` and return that amplitude."""
-    return complex(_raise(src, amps, wbits, fermionic, 1)[0])
+def apply_closing(src, amps, wbits, fermionic: bool):
+    """Raise level n-1 into its single successor ``2**n - 1`` and return that
+    amplitude, a Python complex or an ExactComplex."""
+    return _raise(src, amps, wbits, fermionic, 1).item(0)

@@ -5,7 +5,7 @@ label (site 0 leftmost) read as a binary number, i.e. site ``s`` occupies
 bit ``n-1-s``.  Text labels are made only at the edges (``BasisState.text``).
 Basis enumerations are sorted by ascending ``code``, which makes dense
 matrices line up with labels sorted as binary numbers (``000 < 001 < 010 <
-...``).  The float sweep alone holds a level in *block order*
+...``).  The sweep, on both backends, holds a level in *block order*
 (``block_codes``), which is ascending order for n <= ``BLOCK_CUTOVER_N``.
 
 ``level_codes`` enumerates one Hamming level with Pascal's rule, one bit at

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,7 +75,7 @@ class RunConfig:
             raise ParseError(
                 f"{self.command} runs in floating point; --backend exact is for perm and det"
             )
-        if self.tol is not None and self.command in ("reduce", "graph"):
+        if self.tol is not None and self.command in ("perm", "reduce", "graph"):
             raise ParseError(
                 f"{self.command} has no tolerance to set; --tol is for det and spectrum"
             )
@@ -144,15 +145,24 @@ def _load_matrix(config: RunConfig) -> SquareMatrix:
 
 
 def _resolve_tol(tol: float | None, default: float) -> float:
-    if tol is not None:
-        return tol
-    env = os.environ.get(TOL_ENV)
-    if not env:
-        return default
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(f"{TOL_ENV}={env!r} is not a number") from None
+    """``--tol``, else ``SPINPERM_TOL``, else ``default``; finite and >= 0.
+
+    A nan or infinite tolerance would pass every check it gates, and a
+    negative one would fail every check.
+    """
+    source = f"--tol {tol!r}"
+    if tol is None:
+        env = os.environ.get(TOL_ENV)
+        if not env:
+            return default
+        try:
+            tol = float(env)
+        except ValueError:
+            raise ValueError(f"{TOL_ENV}={env!r} is not a number") from None
+        source = f"{TOL_ENV}={env!r}"
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{source} must be finite and >= 0")
+    return tol
 
 
 def _write(text: str) -> None:
@@ -420,6 +430,8 @@ def bench(min_n, max_n, repeats, seed, output):
 
     if max_n > BENCH_MAX_N or min_n < 1 or min_n > max_n:
         _fail(EXIT_INPUT, "input", f"need 1 <= min-n <= max-n <= {BENCH_MAX_N}")
+    if repeats < 1:
+        _fail(EXIT_INPUT, "input", f"need --repeats >= 1, got {repeats}")
     try:
         rows = bench_suite(min_n, max_n, repeats=repeats, seed=seed)
     except SpinpermError as exc:

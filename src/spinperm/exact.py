@@ -31,6 +31,10 @@ class ExactComplex:
         return ExactComplex(-self.re, -self.im)
 
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
+        # a sweep multiplies many zero amplitudes on sparse inputs; a zero
+        # factor skips the four Fraction products
+        if not (self.re or self.im) or not (other.re or other.im):
+            return EXACT_ZERO
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

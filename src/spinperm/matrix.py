@@ -62,29 +62,26 @@ def format_complex(value) -> str:
 class SquareMatrix:
     """n x n weight matrix; entry(r, c) is the level-r, site-c edge weight.
 
-    ``entries`` is a complex128 array for the float backend, or a tuple of
-    tuples of ExactComplex for the exact backend.
+    ``entries`` is an (n, n) array: complex128 for the float backend, or
+    objects holding ExactComplex for the exact backend.  Both backends index,
+    slice and transpose it alike; ``weight`` returns a Python complex or an
+    ExactComplex.
     """
 
     n: int
-    entries: object
+    entries: np.ndarray
     backend: str = "float"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("matrix dimension must be >= 1")
-        if self.backend == "float":
-            arr = self.entries
-            if not isinstance(arr, np.ndarray) or arr.shape != (self.n, self.n):
-                raise ValueError("float backend entries must be an (n, n) array")
-            if not np.all(np.isfinite(arr)):
-                raise ParseError("matrix entries must be finite")
-        elif self.backend == "exact":
-            rows = self.entries
-            if len(rows) != self.n or any(len(r) != self.n for r in rows):
-                raise ValueError("exact backend entries must be n rows of n scalars")
-        else:
+        if self.backend not in ("float", "exact"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        arr = self.entries
+        if not isinstance(arr, np.ndarray) or arr.shape != (self.n, self.n):
+            raise ValueError(f"{self.backend} backend entries must be an (n, n) array")
+        if self.backend == "float" and not np.all(np.isfinite(arr)):
+            raise ParseError("matrix entries must be finite")
 
     @classmethod
     def from_array(cls, arr) -> "SquareMatrix":
@@ -95,30 +92,19 @@ class SquareMatrix:
 
     @classmethod
     def from_exact_rows(cls, rows) -> "SquareMatrix":
-        rows = tuple(tuple(r) for r in rows)
-        return cls(len(rows), rows, "exact")
+        return cls(len(rows), np.array(rows, dtype=object), "exact")
 
     def weight(self, r: int, c: int):
-        if self.backend == "float":
-            return complex(self.entries[r, c])
-        return self.entries[r][c]
+        return self.entries.item(r, c)
 
     def to_array(self) -> np.ndarray:
-        if self.backend == "float":
-            return np.array(self.entries, dtype=np.complex128)
-        return np.array(
-            [[complex(v) for v in row] for row in self.entries], dtype=np.complex128
-        )
+        return np.array(self.entries, dtype=np.complex128)
 
     def to_float(self) -> "SquareMatrix":
         return SquareMatrix.from_array(self.to_array())
 
     def transpose(self) -> "SquareMatrix":
-        if self.backend == "float":
-            return SquareMatrix.from_array(self.entries.T)
-        return SquareMatrix.from_exact_rows(
-            tuple(tuple(self.entries[r][c] for r in range(self.n)) for c in range(self.n))
-        )
+        return SquareMatrix(self.n, self.entries.T, self.backend)
 
 
 def _rows_to_matrix(rows, backend: str) -> SquareMatrix:

@@ -7,10 +7,11 @@ times against the all-empty state yields the permanent (bosonic) or the
 determinant (fermionic) at a counted cost of exactly ``n * 2**n`` fused
 multiply-adds.
 
-Every edge here comes from ``bits.raise_edges``: the float and exact sweeps,
-the closing step, ``dense_operator`` and ``jw_sign``.  The closing step is
-the raise into level n, whose single code is ``2**n - 1``; its one amplitude
-is the value.
+Every edge here comes from ``bits.raise_edges``: the sweep's pull tables
+(``_kernels``), ``dense_operator`` and ``jw_sign``.  The float and exact
+backends run the same sweep; only the dtype of the amplitudes differs.  The
+closing step is the raise into level n, whose single code is ``2**n - 1``;
+its one amplitude is the value.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     RangeError,
     SizeGuardError,
 )
-from .exact import EXACT_ZERO, ExactComplex
+from .exact import EXACT_ONE
 from .matrix import SquareMatrix
 
 VARIANTS = ("tilde", "breve")
@@ -142,24 +143,26 @@ class SpinOperator:
 class LevelVector:
     """Amplitudes over all weight-``level`` states, in the order of ``codes``.
 
-    Float vectors are in block order (``bits.block_codes``), exact ones in
-    ascending code order (``bits.level_codes``); the two agree for n <=
-    ``bits.BLOCK_CUTOVER_N``.  ``codes`` holds those states' codes once
-    they are built; a sweep hands each step's destination codes to the
-    vector it returns, so every level is enumerated once.  Left ``None``,
-    they are built on first use.  Float vectors up to the cutover share
-    their read-only codes with every other sweep (``bits.shared_level_codes``).
+    ``amplitudes`` is a numpy array in block order (``bits.block_codes``),
+    which is ascending code order for n <= ``bits.BLOCK_CUTOVER_N``:
+    complex128 on the float backend, objects holding ExactComplex on the
+    exact one.  ``codes`` holds those states' codes once they are built; a
+    sweep hands each step's destination codes to the vector it returns, so
+    every level is enumerated once.  Left ``None``, they are built on first
+    use.  Vectors up to the cutover share their read-only codes with every
+    other sweep (``bits.shared_level_codes``).
     """
 
     n: int
     level: int
-    amplitudes: object = field(default=None)
+    amplitudes: np.ndarray = field(default=None)
     codes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         expected = bits.binom(self.n, self.level)
         if self.amplitudes is None:
             raise ValueError("amplitudes required")
+        self.amplitudes = np.asarray(self.amplitudes)
         if len(self.amplitudes) != expected:
             raise ValueError(
                 f"level {self.level} of n={self.n} needs {expected} amplitudes, "
@@ -174,21 +177,17 @@ class LevelVector:
     @classmethod
     def vacuum(cls, n: int, backend: str = "float") -> "LevelVector":
         if backend == "exact":
-            return cls(n, 0, [ExactComplex.of(1)])
+            return cls(n, 0, [EXACT_ONE])
         return cls(n, 0, np.ones(1, dtype=np.complex128))
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.amplitudes, list)
-
-
-def _codes_for(n: int, h: int, exact: bool) -> np.ndarray:
-    return bits.level_codes(n, h) if exact else bits.block_codes(n, h)
+        return self.amplitudes.dtype == object
 
 
 def _level_codes(v: LevelVector) -> np.ndarray:
     if v.codes is None:
-        v.codes = _codes_for(v.n, v.level, v.is_exact)
+        v.codes = bits.block_codes(v.n, v.level)
     return v.codes
 
 
@@ -205,10 +204,9 @@ def _check_sweep_size(n: int) -> None:
 
 
 def _wbits_row(op: SpinOperator, h: int) -> np.ndarray:
-    # weight for raising the site stored in code bit p is w[h, n-1-p]; a
-    # float matrix lends a reversed view of its row
-    m = op.matrix
-    return (m.entries if m.backend == "float" else m.to_array())[h, ::-1]
+    # weight for raising the site stored in code bit p is w[h, n-1-p]: a
+    # reversed view of the matrix row
+    return op.matrix.entries[h, ::-1]
 
 
 def _check_level_for_apply(op: SpinOperator, v: LevelVector) -> None:
@@ -227,11 +225,8 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
     src = _level_codes(v)
     if count is not None:
         count.tally_edges(len(src) * (n - h))
-    dst = _codes_for(n, h + 1, v.is_exact)
-    if v.is_exact:
-        return LevelVector(n, h + 1, _raise_exact(op, v, src, dst), dst)
-    out = _kernels.apply_level(src, dst, np.asarray(v.amplitudes), _wbits_row(op, h),
-                               op.fermionic)
+    dst = bits.block_codes(n, h + 1)
+    out = _kernels.apply_level(src, dst, v.amplitudes, _wbits_row(op, h), op.fermionic)
     return LevelVector(n, h + 1, out, dst)
 
 
@@ -248,28 +243,8 @@ def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None
         raise LevelMismatchError(f"apply_closing expects level {n - 1}, got {v.level}")
     if count is not None:
         count.tally_edges(n)
-    src = _level_codes(v)
-    full = (1 << n) - 1
-    if v.is_exact:
-        return _raise_exact(op, v, src, np.array([full]))[0]
-    return _kernels.apply_closing(src, np.asarray(v.amplitudes), _wbits_row(op, n - 1),
-                                  op.fermionic, full)
-
-
-def _raise_exact(op: SpinOperator, v: LevelVector, src, dst) -> list[ExactComplex]:
-    """Exact-backend raise of ``v`` (codes ``src``) onto the codes ``dst``."""
-    n, h = op.n, v.level
-    out = [EXACT_ZERO] * len(dst)
-    for p, pos, raised, odd in bits.raise_edges(src, n, op.fermionic):
-        w = op.matrix.weight(h, n - 1 - p)
-        negate = odd.tolist() if op.fermionic else [False] * len(pos)
-        for i, j, neg in zip(pos.tolist(), np.searchsorted(dst, raised).tolist(), negate):
-            amp = v.amplitudes[i]
-            if amp.is_zero():
-                continue
-            term = w * amp
-            out[j] = out[j] - term if neg else out[j] + term
-    return out
+    return _kernels.apply_closing(_level_codes(v), v.amplitudes, _wbits_row(op, n - 1),
+                                  op.fermionic)
 
 
 def evaluate(op: SpinOperator):
@@ -290,10 +265,7 @@ def evaluate(op: SpinOperator):
         return apply_closing(op, v, count), count
     v = apply_level(op, v, count)
     count.tally_edges(1)  # the unit-weight return edge
-    value = v.amplitudes[0]
-    if not v.is_exact:
-        value = complex(value)
-    return value, count
+    return v.amplitudes.item(0), count
 
 
 def operator_power_on_zero(op: SpinOperator, p: int) -> LevelVector:
@@ -311,10 +283,7 @@ def operator_power_on_zero(op: SpinOperator, p: int) -> LevelVector:
     for _ in range(steps):
         v = apply_level(op, v)
     if op.variant == "breve" and p == n:
-        value = apply_closing(op, v)
-        if isinstance(value, ExactComplex):
-            return LevelVector(n, 0, [value])
-        return LevelVector(n, 0, np.array([value], dtype=np.complex128))
+        return LevelVector(n, 0, [apply_closing(op, v)])
     return v
 
 
@@ -350,8 +319,5 @@ def dense_operator(op: SpinOperator) -> np.ndarray:
 def embed_level_vector(v: LevelVector, dimension: int) -> np.ndarray:
     """Place a level vector into the dense basis (index = code)."""
     out = np.zeros(dimension, dtype=np.complex128)
-    amps = v.amplitudes
-    if v.is_exact:
-        amps = np.array([complex(a) for a in amps])
-    out[_level_codes(v)] = amps
+    out[_level_codes(v)] = v.amplitudes
     return out

@@ -1,4 +1,4 @@
-"""The float sweep's block layout (``bits.block_codes``, ``_kernels``)."""
+"""The sweep's block layout (``bits.block_codes``, ``_kernels``), on both backends."""
 
 import json
 import tracemalloc
@@ -98,8 +98,7 @@ def test_float_step_matches_scalar_rule(monkeypatch, n, cutover, fermionic):
             got = _kernels.apply_level(src, dst, amps, wbits, fermionic)
             assert np.array_equal(got, expected)
         else:
-            full = (1 << n) - 1
-            assert _kernels.apply_closing(src, amps, wbits, fermionic, full) == expected[0]
+            assert _kernels.apply_closing(src, amps, wbits, fermionic) == expected[0]
 
 
 @pytest.mark.parametrize("n", range(CUT - 2, 19))
@@ -166,9 +165,9 @@ def test_kernel_boundary_sees_every_level_and_edge(monkeypatch):
         seen.append((src, dst))
         return level(src, dst, amps, wbits, fermionic)
 
-    def wrapped_closing(src, amps, wbits, fermionic, full):
+    def wrapped_closing(src, amps, wbits, fermionic):
         seen.append((src, None))
-        return closing(src, amps, wbits, fermionic, full)
+        return closing(src, amps, wbits, fermionic)
 
     monkeypatch.setattr(_kernels, "apply_level", wrapped_level)
     monkeypatch.setattr(_kernels, "apply_closing", wrapped_closing)

@@ -246,6 +246,13 @@ def test_bench_range_guard(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_needs_a_repeat(runner, repeats):
+    result = runner.invoke(main, ["bench", "--min-n", "2", "--max-n", "3",
+                                  "--repeats", repeats])
+    assert input_error(result) == f"need --repeats >= 1, got {repeats}"
+
+
 def test_tol_env_default(runner, monkeypatch):
     monkeypatch.setenv("SPINPERM_TOL", "1e-1")
     result = invoke(runner, ["det", "--gen", "n=3,seed=4"])
@@ -257,6 +264,17 @@ def test_tol_env_not_a_number_is_input_error(runner, monkeypatch, command):
     monkeypatch.setenv("SPINPERM_TOL", "abc")
     result = runner.invoke(main, [command, "--gen", "n=3"])
     assert input_error(result) == "SPINPERM_TOL='abc' is not a number"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["det", "spectrum"])
+def test_tol_must_be_finite_and_non_negative(runner, monkeypatch, command, value):
+    # a nan or infinite tolerance would pass every check, a negative one fail it
+    result = runner.invoke(main, [command, "--gen", "n=3", "--tol", value])
+    assert input_error(result) == f"--tol {float(value)!r} must be finite and >= 0"
+    monkeypatch.setenv("SPINPERM_TOL", value)
+    result = runner.invoke(main, [command, "--gen", "n=3"])
+    assert input_error(result) == f"SPINPERM_TOL={value!r} must be finite and >= 0"
 
 
 def test_graph_zero_pivots_keep_numeric_labels(runner):
@@ -326,9 +344,10 @@ def test_json_integer_beyond_double_range(runner, tmp_path, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["reduce"], ["graph"], ["graph", "--round", "1", "--format", "json"],
+    ["reduce"], ["graph"], ["graph", "--round", "1", "--format", "json"], ["perm"],
 ])
 def test_reduce_and_graph_reject_tol(runner, argv):
+    # and perm, which has no tolerance to set either
     result = runner.invoke(main, [*argv, "--gen", "n=3,seed=1", "--tol", "5"])
     assert "--tol" in input_error(result)
 

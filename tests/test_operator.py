@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import rel_err
 from spinperm import (
     BasisState,
+    ExactComplex,
     LevelMismatchError,
     LevelVector,
     OccupiedSiteError,
@@ -293,17 +296,44 @@ def test_evaluate_exact_backend():
     assert ferm == determinant_gauss(m)
 
 
+def _gaussian_rationals(rng, n):
+    # small Gaussian rationals, about a third of them zero
+    def entry():
+        re, im = (Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))) for _ in "ri")
+        return ExactComplex(re, im) if rng.random() > 1 / 3 else ExactComplex.of(0)
+    return SquareMatrix.from_exact_rows([[entry() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("variant", ["breve", "tilde"])
+def test_exact_evaluate_on_the_split_layout_matches_oracles(monkeypatch, n, variant):
+    # the exact backend runs the block-layout pull raise; with the cutover
+    # at 0 every level of n >= 2 is split into top and low blocks
+    monkeypatch.setattr(bits, "BLOCK_CUTOVER_N", 0)
+    m = _gaussian_rationals(np.random.default_rng([n, variant == "tilde"]), n)
+    bos, _ = evaluate(SpinOperator(m, variant, "bosonic"))
+    assert isinstance(bos, ExactComplex) and bos == permanent_ryser(m)
+    if n <= 6:
+        assert bos == permanent_naive(m)
+    ferm, _ = evaluate(SpinOperator(m, variant, "fermionic"))
+    assert isinstance(ferm, ExactComplex) and ferm == determinant_gauss(m)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("variant", ["breve", "tilde"])
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
-def test_exact_level_vectors_match_float(n, variant, statistics):
-    # 0/1 entries keep every float amplitude an exactly representable integer
+def test_exact_level_vectors_match_float(monkeypatch, n, variant, statistics):
+    # 0/1 entries keep every float amplitude an exactly representable integer;
+    # both layouts: one block, then every level split (cutover 0)
     exact = SpinOperator(random_matrix(n, n, "zero_one", backend="exact"), variant, statistics)
     flt = SpinOperator(random_matrix(n, n, "zero_one"), variant, statistics)
-    for p in range(n + 1):
-        ve, vf = operator_power_on_zero(exact, p), operator_power_on_zero(flt, p)
-        assert ve.is_exact and ve.level == vf.level
-        assert [complex(a) for a in ve.amplitudes] == list(vf.amplitudes)
+    for cutover in (bits.BLOCK_CUTOVER_N, 0):
+        monkeypatch.setattr(bits, "BLOCK_CUTOVER_N", cutover)
+        for p in range(n + 1):
+            ve, vf = operator_power_on_zero(exact, p), operator_power_on_zero(flt, p)
+            assert ve.is_exact and ve.level == vf.level
+            assert [complex(a) for a in ve.amplitudes] == list(vf.amplitudes)
+            assert np.array_equal(ve.codes, vf.codes)
 
 
 def test_level_vector_length_checked():
@@ -348,12 +378,7 @@ def test_evaluate_calls_each_kernel_boundary_once_per_step(
     n = 5
     op = SpinOperator(random_matrix(n, 3, "zero_one", backend=backend), variant, statistics)
     evaluate(op)
-    if backend == "exact":
-        expected = (0, 0)
-    elif variant == "breve":
-        expected = (n - 1, 1)
-    else:
-        expected = (n, 0)
+    expected = (n - 1, 1) if variant == "breve" else (n, 0)
     assert (calls.count("apply_level"), calls.count("apply_closing")) == expected
 
 
