@@ -7,7 +7,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
 
@@ -54,40 +53,6 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: input source, backend, operator flavor, output."""
-
-    command: str
-    input_path: str | None = None
-    generator: dict | None = None
-    backend: str = "float"
-    variant: str = "breve"
-    statistics: str = "bosonic"
-    tol: float | None = None
-    output: str | None = None
-    format: str = "text"
-
-    def validate(self) -> None:
-        if self.command == "graph" and self.format not in ("dot", "json"):
-            raise ParseError("graph command requires --format dot or json")
-        if self.backend == "exact" and self.command in ("spectrum", "reduce", "graph"):
-            raise ParseError(
-                f"{self.command} runs in floating point; --backend exact is for perm and det"
-            )
-        if self.tol is not None and self.command in ("perm", "reduce", "graph"):
-            raise ParseError(
-                f"{self.command} has no tolerance to set; --tol is for det and spectrum"
-            )
-        if self.command == "reduce" and self.variant != "breve":
-            raise ParseError("reduce is defined for the breve variant only")
-        if self.backend == "exact" and self.generator is not None:
-            if self.generator.get("kind", "complex_gaussian") != "zero_one":
-                raise ParseError(
-                    "exact backend requires rational entries; use kind=zero_one"
-                )
-
-
 def _fail(code: int, kind: str, message: str):
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     sys.exit(code)
@@ -131,17 +96,23 @@ def _parse_gen(spec: str) -> dict:
     return out
 
 
-def _load_matrix(config: RunConfig) -> SquareMatrix:
-    if (config.input_path is None) == (config.generator is None):
-        raise ParseError("exactly one of --input or --gen is required")
-    if config.generator is not None:
-        gen = config.generator
-        return random_matrix(gen["n"], gen["seed"], gen["kind"], backend=config.backend)
-    path = Path(config.input_path)
-    if not path.exists():
-        raise ParseError(f"input file {path} not found")
-    fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    return parse_matrix(path.read_text(), fmt, backend=config.backend)
+def _load_matrix(input_path: str | None, gen_spec: str | None,
+                 backend: str = "float") -> SquareMatrix:
+    """The matrix of ``--input`` or ``--gen``; any fault in it is a usage error."""
+    try:
+        generator = _parse_gen(gen_spec) if gen_spec else None
+        if (input_path is None) == (generator is None):
+            raise ParseError("exactly one of --input or --gen is required")
+        if generator is not None:
+            return random_matrix(generator["n"], generator["seed"], generator["kind"],
+                                 backend=backend)
+        path = Path(input_path)
+        if not path.exists():
+            raise ParseError(f"input file {path} not found")
+        fmt = "json" if path.suffix.lower() == ".json" else "csv"
+        return parse_matrix(path.read_text(), fmt, backend=backend)
+    except (ParseError, ValueError, OSError) as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _resolve_tol(tol: float | None, default: float) -> float:
@@ -158,10 +129,10 @@ def _resolve_tol(tol: float | None, default: float) -> float:
         try:
             tol = float(env)
         except ValueError:
-            raise ValueError(f"{TOL_ENV}={env!r} is not a number") from None
+            raise click.UsageError(f"{TOL_ENV}={env!r} is not a number") from None
         source = f"{TOL_ENV}={env!r}"
     if not 0 <= tol < math.inf:
-        raise ValueError(f"{source} must be finite and >= 0")
+        raise click.UsageError(f"{source} must be finite and >= 0")
     return tol
 
 
@@ -172,88 +143,80 @@ def _write(text: str) -> None:
     sys.stdout.flush()
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output:
-        Path(config.output).write_text(text)
-    else:
+def _emit(output: str | None, text: str) -> None:
+    if output is None:
         _write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
-def _matrix_options(fn):
-    fn = click.option("--input", "input_path", type=str, default=None,
-                      help="Matrix file (.csv or .json).")(fn)
-    fn = click.option("--gen", "gen_spec", type=str, default=None,
-                      help="Generator spec, e.g. n=4,seed=1,kind=zero_one.")(fn)
-    fn = click.option("--backend", type=click.Choice(["float", "exact"]),
-                      default="float", show_default=True)(fn)
-    return fn
+# each command stacks only the options it reads
+_input = click.option("--input", "input_path", type=str, default=None,
+                      help="Matrix file (.csv or .json).")
+_gen = click.option("--gen", "gen_spec", type=str, default=None,
+                    help="Generator spec, e.g. n=4,seed=1,kind=zero_one.")
+_backend = click.option("--backend", type=click.Choice(["float", "exact"]),
+                        default="float", show_default=True)
+_variant = click.option("--variant", type=click.Choice(["tilde", "breve"]),
+                        default="breve", show_default=True)
+_statistics = click.option("--statistics", type=click.Choice(["bosonic", "fermionic"]),
+                           default="bosonic", show_default=True)
+_tol = click.option("--tol", type=float, default=None,
+                    help=f"Tolerance (default per command; env {TOL_ENV}).")
+_output = click.option("--output", type=str, default=None,
+                       help="Output file (default stdout).")
 
 
-def _common_options(fn):
-    fn = click.option("--variant", type=click.Choice(["tilde", "breve"]),
-                      default="breve", show_default=True)(fn)
-    fn = click.option("--tol", type=float, default=None,
-                      help=f"Tolerance (default per command; env {TOL_ENV}).")(fn)
-    fn = click.option("--output", type=str, default=None,
-                      help="Output file (default stdout).")(fn)
-    return fn
+def _format(choices: list[str], default: str):
+    return click.option("--format", type=click.Choice(choices), default=default,
+                        show_default=True)
 
 
-def _statistics_option(fn):
-    return click.option("--statistics", type=click.Choice(["bosonic", "fermionic"]),
-                        default="bosonic", show_default=True)(fn)
+class _Main(click.Group):
+    """The command group, which ends every failed command the same way: one
+    JSON object on stderr.  A usage error (a bad option, value or input) is
+    ``input`` with exit 2; any other package error is named by its type, with
+    exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(EXIT_INPUT, "input", exc.format_message())
+        except SpinpermError as exc:
+            _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
 
 
-def _build_config(command, input_path, gen_spec, backend="float", variant="breve",
-                  statistics="bosonic", tol=None, output=None, format="text") -> RunConfig:
-    config = RunConfig(
-        command=command,
-        input_path=input_path,
-        generator=_parse_gen(gen_spec) if gen_spec else None,
-        backend=backend,
-        variant=variant,
-        statistics=statistics,
-        tol=tol,
-        output=output,
-        format=format,
-    )
-    config.validate()
-    return config
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Permanents and determinants via a spin branching operator."""
 
 
 @main.command()
-@_matrix_options
-@_common_options
-@click.option("--format", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-def perm(input_path, gen_spec, backend, variant, tol, output, format):
+@_input
+@_gen
+@_backend
+@_variant
+@_output
+@_format(["text", "json"], "text")
+def perm(input_path, gen_spec, backend, variant, output, format):
     """Permanent via the level sweep, with the operation count."""
-    try:
-        config = _build_config("perm", input_path, gen_spec, backend, variant,
-                               "bosonic", tol, output, format)
-        matrix = _load_matrix(config)
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_INPUT, "input", str(exc))
-    try:
-        with _quiet_overflow():
-            value, count = evaluate(SpinOperator(matrix, config.variant, "bosonic"))
-    except SpinpermError as exc:
-        _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
+    matrix = _load_matrix(input_path, gen_spec, backend)
+    with _quiet_overflow():
+        value, count = evaluate(SpinOperator(matrix, variant, "bosonic"))
     _require_finite("permanent", value)
-    if config.format == "json":
-        _emit(config, json.dumps({
+    if format == "json":
+        _emit(output, json.dumps({
             "permanent": format_complex(value),
             "multiplications": count.multiplications,
             "additions": count.additions,
             "total_ops": count.total,
         }) + "\n")
     else:
-        _emit(config, (
+        _emit(output, (
             f"permanent = {format_complex(value)}\n"
             f"multiplications = {count.multiplications}\n"
             f"additions = {count.additions}\n"
@@ -262,25 +225,20 @@ def perm(input_path, gen_spec, backend, variant, tol, output, format):
 
 
 @main.command()
-@_matrix_options
-@_common_options
-@click.option("--format", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
+@_input
+@_gen
+@_backend
+@_variant
+@_tol
+@_output
+@_format(["text", "json"], "text")
 def det(input_path, gen_spec, backend, variant, tol, output, format):
     """Determinant via the fermionic sweep, cross-checked against elimination."""
-    try:
-        config = _build_config("det", input_path, gen_spec, backend, variant,
-                               "fermionic", tol, output, format)
-        matrix = _load_matrix(config)
-        tol_value = _resolve_tol(config.tol, 1e-9)
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_INPUT, "input", str(exc))
-    try:
-        with _quiet_overflow():
-            value, count = evaluate(SpinOperator(matrix, config.variant, "fermionic"))
-            reference = determinant_gauss(matrix)
-    except SpinpermError as exc:
-        _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
+    matrix = _load_matrix(input_path, gen_spec, backend)
+    tol = _resolve_tol(tol, 1e-9)
+    with _quiet_overflow():
+        value, count = evaluate(SpinOperator(matrix, variant, "fermionic"))
+        reference = determinant_gauss(matrix)
     _require_finite("determinant", value, reference)
     rel = abs(complex(value) - complex(reference)) / max(
         abs(complex(value)), abs(complex(reference)), 1e-300
@@ -291,38 +249,31 @@ def det(input_path, gen_spec, backend, variant, tol, output, format):
         "relative_difference": rel,
         "total_ops": count.total,
     }
-    if config.format == "json":
-        _emit(config, json.dumps(payload) + "\n")
+    if format == "json":
+        _emit(output, json.dumps(payload) + "\n")
     else:
-        _emit(config, "".join(f"{k} = {v}\n" for k, v in payload.items()))
-    if not rel <= tol_value:
+        _emit(output, "".join(f"{k} = {v}\n" for k, v in payload.items()))
+    if not rel <= tol:
         _fail(EXIT_VERIFICATION, "verification",
-              f"sweep and elimination disagree (rel {rel:.3e} > {tol_value:.3e})")
+              f"sweep and elimination disagree (rel {rel:.3e} > {tol:.3e})")
 
 
 @main.command()
-@_matrix_options
-@_common_options
-@_statistics_option
-@click.option("--format", type=click.Choice(["text", "json"]), default="json",
-              show_default=True)
-def spectrum(input_path, gen_spec, backend, variant, statistics, tol, output, format):
+@_input
+@_gen
+@_variant
+@_statistics
+@_tol
+@_output
+@_format(["text", "json"], "json")
+def spectrum(input_path, gen_spec, variant, statistics, tol, output, format):
     """Verify the spectral claims and report eigenpairs, rank, and kernel ranks."""
-    try:
-        config = _build_config("spectrum", input_path, gen_spec, backend, variant,
-                               statistics, tol, output, format)
-        matrix = _load_matrix(config)
-        tol_value = _resolve_tol(config.tol, 1e-8)
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_INPUT, "input", str(exc))
-    try:
-        op = SpinOperator(matrix.to_float(), config.variant, config.statistics)
-        report = verify_spectrum(op, tol=tol_value)
-    except SpinpermError as exc:
-        _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
+    matrix = _load_matrix(input_path, gen_spec)
+    tol = _resolve_tol(tol, 1e-8)
+    report = verify_spectrum(SpinOperator(matrix, variant, statistics), tol=tol)
     doc = report.to_json_dict()
-    if config.format == "json":
-        _emit(config, json.dumps(doc, indent=2) + "\n")
+    if format == "json":
+        _emit(output, json.dumps(doc, indent=2) + "\n")
     else:
         lines = [
             f"value = {doc['permanent']}",
@@ -335,34 +286,24 @@ def spectrum(input_path, gen_spec, backend, variant, statistics, tol, output, fo
                 f"k={pair['k']}: eigenvalue {pair['eigenvalue']} "
                 f"(residual {pair['residual']:.3e})"
             )
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(output, "\n".join(lines) + "\n")
 
 
 @main.command()
-@_matrix_options
-@_common_options
-@_statistics_option
-@click.option("--format", type=click.Choice(["text", "json"]), default="json",
-              show_default=True)
+@_input
+@_gen
+@_statistics
+@_output
+@_format(["text", "json"], "json")
 @click.option("--perturb", is_flag=True, default=False,
               help="Add 1e-30-scaled noise to unstick zero pivots (exploratory).")
-def reduce(input_path, gen_spec, backend, variant, statistics, tol, output, format,
-           perturb):
-    """Run the full kernel-removal reduction and emit the trace."""
-    try:
-        config = _build_config("reduce", input_path, gen_spec, backend, variant,
-                               statistics, tol, output, format)
-        matrix = _load_matrix(config)
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_INPUT, "input", str(exc))
-    try:
-        op = SpinOperator(matrix.to_float(), "breve", config.statistics)
-        trace = reduce_fully(op, perturb=perturb)
-    except SpinpermError as exc:
-        _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
+def reduce(input_path, gen_spec, statistics, output, format, perturb):
+    """Run the full kernel-removal reduction (breve variant) and emit the trace."""
+    matrix = _load_matrix(input_path, gen_spec)
+    trace = reduce_fully(SpinOperator(matrix, "breve", statistics), perturb=perturb)
     doc = trace.to_json_dict()
-    if config.format == "json":
-        _emit(config, json.dumps(doc, indent=2) + "\n")
+    if format == "json":
+        _emit(output, json.dumps(doc, indent=2) + "\n")
     else:
         lines = [f"final_product = {doc['final_product']}"]
         for rnd in doc["rounds"]:
@@ -375,46 +316,39 @@ def reduce(input_path, gen_spec, backend, variant, statistics, tol, output, form
             )
         for edge in doc["final_cycle"]:
             lines.append(f"cycle: {edge['source']} -> {edge['target']} = {edge['weight']}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(output, "\n".join(lines) + "\n")
 
 
 @main.command()
-@_matrix_options
-@_common_options
-@_statistics_option
-@click.option("--format", type=click.Choice(["dot", "json"]), default="dot",
-              show_default=True)
+@_input
+@_gen
+@_variant
+@_statistics
+@_output
+@_format(["dot", "json"], "dot")
 @click.option("--round", "round_", type=int, default=None,
               help="Reduction round to draw (default: unreduced operator).")
 @click.option("--numeric-weights", is_flag=True, default=False)
 @click.option("--hide-signs", is_flag=True, default=False)
-def graph(input_path, gen_spec, backend, variant, statistics, tol, output, format,
-          round_, numeric_weights, hide_signs):
+def graph(input_path, gen_spec, variant, statistics, output, format, round_,
+          numeric_weights, hide_signs):
     """Export the branching-program graph as DOT or JSON."""
-    try:
-        config = _build_config("graph", input_path, gen_spec, backend, variant,
-                               statistics, tol, output, format)
-        if round_ is not None and config.variant != "breve":
-            raise ParseError("graph --round draws a reduction, defined for the breve "
-                             "variant only")
-        matrix = _load_matrix(config)
-        if round_ is not None and not 0 <= round_ < matrix.n:
-            raise ParseError(f"--round must be in [0, {matrix.n - 1}] for n={matrix.n}, "
-                             f"got {round_}")
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_INPUT, "input", str(exc))
-    try:
-        op = SpinOperator(matrix.to_float(), config.variant, config.statistics)
-        if round_ is None:
-            g = graph_from_operator(op)
-        else:
-            g = graph_from_reduction(reduce_fully(op), round_)
-    except SpinpermError as exc:
-        _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
-    if config.format == "json":
-        _emit(config, json.dumps(g.to_json_dict(), indent=2) + "\n")
+    if round_ is not None and variant != "breve":
+        raise click.UsageError("graph --round draws a reduction, defined for the breve "
+                               "variant only")
+    matrix = _load_matrix(input_path, gen_spec)
+    if round_ is not None and not 0 <= round_ < matrix.n:
+        raise click.UsageError(f"--round must be in [0, {matrix.n - 1}] for n={matrix.n}, "
+                               f"got {round_}")
+    op = SpinOperator(matrix, variant, statistics)
+    if round_ is None:
+        g = graph_from_operator(op)
     else:
-        _emit(config, export_dot(g, show_signs=not hide_signs,
+        g = graph_from_reduction(reduce_fully(op), round_)
+    if format == "json":
+        _emit(output, json.dumps(g.to_json_dict(), indent=2) + "\n")
+    else:
+        _emit(output, export_dot(g, show_signs=not hide_signs,
                                  numeric_weights=numeric_weights))
 
 
@@ -423,24 +357,16 @@ def graph(input_path, gen_spec, backend, variant, statistics, tol, output, forma
 @click.option("--max-n", type=int, default=12, show_default=True)
 @click.option("--repeats", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", type=str, default=None)
+@_output
 def bench(min_n, max_n, repeats, seed, output):
     """Operation counts and median wall times as CSV."""
     from .bench import BENCH_MAX_N, bench_suite, rows_to_csv
 
     if max_n > BENCH_MAX_N or min_n < 1 or min_n > max_n:
-        _fail(EXIT_INPUT, "input", f"need 1 <= min-n <= max-n <= {BENCH_MAX_N}")
+        raise click.UsageError(f"need 1 <= min-n <= max-n <= {BENCH_MAX_N}")
     if repeats < 1:
-        _fail(EXIT_INPUT, "input", f"need --repeats >= 1, got {repeats}")
-    try:
-        rows = bench_suite(min_n, max_n, repeats=repeats, seed=seed)
-    except SpinpermError as exc:
-        _fail(EXIT_VERIFICATION, type(exc).__name__, str(exc))
-    text = rows_to_csv(rows)
-    if output:
-        Path(output).write_text(text)
-    else:
-        _write(text)
+        raise click.UsageError(f"need --repeats >= 1, got {repeats}")
+    _emit(output, rows_to_csv(bench_suite(min_n, max_n, repeats=repeats, seed=seed)))
 
 
 @main.command()

@@ -10,8 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import bits, rref
 from .errors import RangeError, SizeGuardError
 from .matrix import format_complex
@@ -231,8 +229,7 @@ def graph_from_reduction(trace: ReductionTrace, round: int) -> AbpGraph:
     for s in basis:
         nodes.append(AbpNode(_node_id(s.code), s.text, s.level))
     edges = []
-    eps = rref.zero_threshold(state.operator)
-    for t, s in zip(*np.nonzero(np.abs(state.operator) > eps)):
+    for t, s in zip(*rref.support(state.operator)):
         src, dst = basis[s], basis[t]
         src_id = _node_id(src.code)
         dst_id = SINK_ID if dst.level == 0 and src.level == n - 1 else _node_id(dst.code)

@@ -17,6 +17,7 @@ its one amplitude is the value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -197,9 +198,10 @@ def _check_sweep_size(n: int) -> None:
     # chunk's gather and its sum, each at most _PULL_ELEMENTS complex128
     need = 48 * bits.binom(n, n // 2) + 2 * 16 * _kernels._PULL_ELEMENTS
     if need > SWEEP_MAX_BYTES:
+        # Decimal, not float: from n = 1054 on, need / 2**30 overflows a double
         raise SizeGuardError(
-            f"a sweep at n={n} needs about {need / 2**30:.1f} GiB for its middle "
-            f"levels; the limit is {SWEEP_MAX_BYTES / 2**30:.0f} GiB"
+            f"a sweep at n={n} needs about {Decimal(need) / 2**30:.2g} GiB for its "
+            f"middle levels; the limit is {SWEEP_MAX_BYTES >> 30} GiB"
         )
 
 

@@ -83,8 +83,7 @@ class ReductionTrace:
             )
         cycle = []
         basis = self.rounds[-1].basis if self.rounds else self.initial.basis
-        eps = rref.zero_threshold(self.final_operator)
-        for t, s in zip(*np.nonzero(np.abs(self.final_operator) > eps)):
+        for t, s in zip(*rref.support(self.final_operator)):
             cycle.append(
                 {
                     "source": basis[s].text,
@@ -113,10 +112,9 @@ def initial_state(op: SpinOperator) -> ReductionState:
 def _fill_stats(old: np.ndarray, new: np.ndarray, keep: list[int]) -> tuple[int, int, int]:
     """Classify the nonzeros of the reduced operator against the old one."""
     old_kept = old[np.ix_(keep, keep)]
-    eps_new = rref.zero_threshold(new)
     eps_old = rref.zero_threshold(old)
     reweighted = unchanged = fresh = 0
-    for t, s in zip(*np.nonzero(np.abs(new) > eps_new)):
+    for t, s in zip(*rref.support(new)):
         new_val = new[t, s]
         old_val = old_kept[t, s]
         if abs(old_val) <= eps_old:
@@ -186,8 +184,7 @@ def _validate_final(op: SpinOperator, final: np.ndarray, basis: list[BasisState]
         raise ConsistencyError(
             f"reduction ended at dimension {final.shape[0]}, expected {n}"
         )
-    eps = rref.zero_threshold(final)
-    targets, sources = np.nonzero(np.abs(final) > eps)
+    targets, sources = rref.support(final)
     if len(sources) != n:
         raise ConsistencyError(
             f"final operator has {len(sources)} nonzero entries, expected {n}"
@@ -226,9 +223,7 @@ def reduce_fully(op: SpinOperator, perturb: bool = False) -> ReductionTrace:
         state = factor_round(state)
         rounds.append(state)
     _validate_final(op, state.operator, state.basis)
-    eps = rref.zero_threshold(state.operator)
-    entries = state.operator[np.abs(state.operator) > eps]
-    final_product = complex(np.prod(entries))
+    final_product = complex(np.prod(state.operator[rref.support(state.operator)]))
     return ReductionTrace(
         source_operator=op,
         initial=initial,

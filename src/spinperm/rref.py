@@ -17,6 +17,11 @@ def zero_threshold(a: np.ndarray) -> float:
     return RANK_REL_TOL * scale if scale > 0 else RANK_REL_TOL
 
 
+def support(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices of the entries of ``a`` above ``zero_threshold(a)``, as ``np.nonzero``."""
+    return np.nonzero(np.abs(a) > zero_threshold(a))
+
+
 def rref(a: np.ndarray):
     """Reduced row echelon form with partial pivoting by magnitude.
 

@@ -206,7 +206,7 @@ def _edges(state):
     labels = [s.text for s in state.basis]
     return {
         (labels[s], labels[t]): complex(op[t, s])
-        for t, s in zip(*np.nonzero(np.abs(op) > rref.zero_threshold(op)))
+        for t, s in zip(*rref.support(op))
     }
 
 

@@ -220,3 +220,18 @@ def test_cli_size_guard_exits_1(command):
     assert result.stdout == ""
     error = json.loads(result.stderr)
     assert error["error"] == "SizeGuardError"
+
+
+@pytest.mark.parametrize("n", [1054, 5000])
+def test_size_guard_beyond_float_range(n):
+    # from n = 1054 on the middle level's size in GiB is beyond a double
+    with pytest.raises(SizeGuardError, match=f"n={n} needs about .* GiB"):
+        operator._check_sweep_size(n)
+
+
+@pytest.mark.parametrize("command", ["perm", "det"])
+def test_cli_size_guard_beyond_float_range_exits_1(command):
+    result = CliRunner().invoke(main, [command, "--gen", "n=1054"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "SizeGuardError"

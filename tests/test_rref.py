@@ -11,6 +11,12 @@ def test_rref_identity():
     assert pivots == [0, 1, 2]
 
 
+def test_support_drops_entries_at_or_below_the_zero_threshold():
+    a = np.array([[2, 2e-9], [3e-9, 0]], dtype=np.complex128)
+    rows, cols = rref.support(a)
+    assert (rows.tolist(), cols.tolist()) == ([0, 1], [0, 0])
+
+
 def test_rank_and_nullity():
     a = np.array([[1, 2, 3], [2, 4, 6], [1, 1, 1]], dtype=np.complex128)
     assert rref.matrix_rank(a) == 2
