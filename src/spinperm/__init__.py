@@ -21,8 +21,7 @@ _EXPORTS = {
     ),
     "operator": (
         "BasisState", "LevelVector", "OpCount", "SpinOperator", "apply_closing",
-        "apply_level", "dense_operator", "evaluate", "jw_sign", "operator_power_on_zero",
-        "spin_op_count",
+        "apply_level", "dense_operator", "evaluate", "jw_sign", "orbit", "spin_op_count",
     ),
     "oracles": (
         "determinant_gauss", "lower_triangular_reduce", "permanent_naive", "permanent_ryser",

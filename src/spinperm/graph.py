@@ -11,11 +11,10 @@ import re
 from dataclasses import dataclass, field
 
 from . import bits, rref
-from .errors import RangeError, SizeGuardError
+from .errors import RangeError, SizeGuardError, ZeroPivotError
 from .matrix import format_complex
 from .operator import SpinOperator
-from .oracles import lower_triangular_reduce
-from .reduction import UNCHANGED_REL_TOL, ReductionTrace
+from .reduction import UNCHANGED_REL_TOL, ReductionTrace, elimination_weights_n3
 
 GRAPH_MAX_N = 12
 PATHSUM_MAX_N = 7
@@ -103,12 +102,10 @@ def graph_from_operator(op: SpinOperator) -> AbpGraph:
     n = op.n
     if n > GRAPH_MAX_N:
         raise SizeGuardError(f"graph construction limited to n <= {GRAPH_MAX_N}")
-    sink_level = n if op.variant == "breve" else n + 1
-    nodes = [AbpNode(SINK_ID, "0" * n, sink_level)]
+    nodes = [AbpNode(SINK_ID, "0" * n, op.period)]
     edges = []
     w = op.matrix.to_array()
-    top = n - 1 if op.variant == "breve" else n
-    for h in range(top + 1):
+    for h in range(op.period):
         codes = bits.level_codes(n, h)
         ids = [_node_id(c) for c in codes.tolist()]
         nodes.extend(AbpNode(i, format(c, f"0{n}b"), h) for i, c in zip(ids, codes.tolist()))
@@ -171,10 +168,12 @@ def _symbolic_candidates(op: SpinOperator) -> list[tuple[str, complex]]:
     w = op.matrix.to_array()
     out = []
     if op.fermionic:
-        _, rounds = lower_triangular_reduce(op.matrix.to_float())
-        for (r, c), val in rounds[0].items():
-            out.append((f"w'_{{{r},{c}}}", complex(val)))
-        out.append(("w''_{0,0}", complex(rounds[1][(0, 0)])))
+        # a zero pivot in the elimination keeps numeric labels
+        try:
+            changed = elimination_weights_n3(op.matrix)
+        except ZeroPivotError:
+            return []
+        out.extend((name, complex(value)) for name, value in changed.items())
     else:
         # the closed forms divide by w[2,2] and w'_{1,1}; without them the
         # graph keeps numeric labels

@@ -136,6 +136,11 @@ class SpinOperator:
         return (1 << self.n) - (1 if self.variant == "breve" else 0)
 
     @property
+    def period(self) -> int:
+        """Length of the cycle through the empty state: n for breve, n+1 for tilde."""
+        return self.n if self.variant == "breve" else self.n + 1
+
+    @property
     def fermionic(self) -> bool:
         return self.statistics == "fermionic"
 
@@ -212,7 +217,7 @@ def _wbits_row(op: SpinOperator, h: int) -> np.ndarray:
 
 
 def _check_level_for_apply(op: SpinOperator, v: LevelVector) -> None:
-    top = op.n - 1 if op.variant == "breve" else op.n
+    top = op.period - 1
     if not 0 <= v.level < top:
         raise LevelMismatchError(
             f"apply_level expects level in [0, {top}) for variant "
@@ -249,6 +254,20 @@ def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None
                                   op.fermionic)
 
 
+def orbit(op: SpinOperator, count: OpCount | None = None):
+    """Yield the powers of the operator on the empty state, p = 0..period-1.
+
+    Each is the level-p vector; at most two levels are live at once.  The
+    size guard runs before the first level is built.
+    """
+    _check_sweep_size(op.n)
+    v = LevelVector.vacuum(op.n, op.matrix.backend)
+    for _ in range(op.period - 1):
+        yield v
+        v = apply_level(op, v, count)
+    yield v
+
+
 def evaluate(op: SpinOperator):
     """Full sweep from the empty state back to itself.
 
@@ -257,36 +276,13 @@ def evaluate(op: SpinOperator):
     ``n * 2**n`` counted operations; the cyclic variant takes n+1 steps, the
     extra one being the unit-weight return edge.
     """
-    n = op.n
-    _check_sweep_size(n)
     count = OpCount()
-    v = LevelVector.vacuum(n, op.matrix.backend)
-    for _ in range(n - 1):
-        v = apply_level(op, v, count)
+    for v in orbit(op, count):
+        pass
     if op.variant == "breve":
         return apply_closing(op, v, count), count
-    v = apply_level(op, v, count)
     count.tally_edges(1)  # the unit-weight return edge
     return v.amplitudes.item(0), count
-
-
-def operator_power_on_zero(op: SpinOperator, p: int) -> LevelVector:
-    """p-fold application to the empty state as a level-p vector.
-
-    For the closed variant, ``p == n`` applies the closing step and returns a
-    level-0 vector whose single amplitude is the permanent/determinant.
-    """
-    n = op.n
-    if not 0 <= p <= n:
-        raise RangeError(f"power must satisfy 0 <= p <= {n}, got {p}")
-    _check_sweep_size(n)
-    v = LevelVector.vacuum(n, op.matrix.backend)
-    steps = p if (op.variant == "tilde" or p < n) else p - 1
-    for _ in range(steps):
-        v = apply_level(op, v)
-    if op.variant == "breve" and p == n:
-        return LevelVector(n, 0, [apply_closing(op, v)])
-    return v
 
 
 def dense_operator(op: SpinOperator) -> np.ndarray:

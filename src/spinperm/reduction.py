@@ -22,6 +22,8 @@ from .oracles import determinant_gauss, lower_triangular_reduce
 REDUCE_MAX_N = 10
 FACTOR_REL_TOL = 1e-10
 UNCHANGED_REL_TOL = 1e-12
+GAUSSIAN_ENTRY_TOL = 1e-10
+GAUSSIAN_PRODUCT_TOL = 1e-9
 
 
 def kernel_basis(operator: np.ndarray) -> list[np.ndarray]:
@@ -274,9 +276,23 @@ def _entry(state: ReductionState, target: str, source: str) -> complex:
     return complex(state.operator[lookup[target], lookup[source]])
 
 
-def fermionic_matches_gaussian(
-    matrix: SquareMatrix, entry_tol: float = 1e-10, product_tol: float = 1e-9
-) -> GaussianComparison:
+# the named entries of n=3 fixed-order elimination: (round, row, column) -> name
+ELIMINATION_NAMES_N3 = {(0, 0, 0): "w'_{0,0}", (0, 0, 1): "w'_{0,1}", (0, 1, 0): "w'_{1,0}",
+                        (0, 1, 1): "w'_{1,1}", (1, 0, 0): "w''_{0,0}"}
+
+
+def elimination_weights_n3(matrix: SquareMatrix) -> dict[str, complex]:
+    """The named entries that the rounds of n=3 elimination reweight.
+
+    An entry a round leaves untouched is absent.  Raises ZeroPivotError
+    where the elimination divides by zero.
+    """
+    _, rounds = lower_triangular_reduce(matrix.to_float())
+    return {name: rounds[k][(r, c)] for (k, r, c), name in ELIMINATION_NAMES_N3.items()
+            if (r, c) in rounds[k]}
+
+
+def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
     """Check that fermionic kernel reduction reproduces Gaussian elimination.
 
     At n=3 the five reweighted entries of the reduction rounds are compared
@@ -288,7 +304,7 @@ def fermionic_matches_gaussian(
     det = complex(determinant_gauss(matrix.to_float()))
     final_err = abs(trace.final_product - det) / max(abs(det), 1.0)
     report = GaussianComparison(
-        ok=bool(final_err <= product_tol),
+        ok=bool(final_err <= GAUSSIAN_PRODUCT_TOL),
         n=matrix.n,
         final_product=trace.final_product,
         determinant=det,
@@ -297,24 +313,20 @@ def fermionic_matches_gaussian(
     if matrix.n != 3:
         return report
     w = matrix.to_array()
-    _, rounds = lower_triangular_reduce(matrix.to_float())
+    changed = elimination_weights_n3(matrix)
     # entries an elimination round leaves untouched keep their prior value
-    w00p = rounds[0].get((0, 0), w[0, 0])
-    w01p = rounds[0].get((0, 1), w[0, 1])
-    w10p = rounds[0].get((1, 0), w[1, 0])
-    w11p = rounds[0].get((1, 1), w[1, 1])
-    w00pp = rounds[1].get((0, 0), w00p)
+    w00p = changed.get("w'_{0,0}", w[0, 0])
     round1, round2 = trace.rounds[0], trace.rounds[1]
     checks = [
         ("w'_{0,0}", _entry(round1, "100", "000"), w00p),
-        ("w'_{0,1}", _entry(round1, "010", "000"), w01p),
-        ("w'_{1,0}", -_entry(round1, "110", "010"), w10p),
-        ("w'_{1,1}", _entry(round1, "110", "100"), w11p),
-        ("w''_{0,0}", _entry(round2, "100", "000"), w00pp),
+        ("w'_{0,1}", _entry(round1, "010", "000"), changed.get("w'_{0,1}", w[0, 1])),
+        ("w'_{1,0}", -_entry(round1, "110", "010"), changed.get("w'_{1,0}", w[1, 0])),
+        ("w'_{1,1}", _entry(round1, "110", "100"), changed.get("w'_{1,1}", w[1, 1])),
+        ("w''_{0,0}", _entry(round2, "100", "000"), changed.get("w''_{0,0}", w00p)),
     ]
     for name, reduced, eliminated in checks:
         rel = abs(reduced - eliminated) / max(abs(reduced), abs(eliminated), 1e-300)
-        entry_ok = bool(rel <= entry_tol)
+        entry_ok = bool(rel <= GAUSSIAN_ENTRY_TOL)
         report.comparisons.append(
             {
                 "name": name,

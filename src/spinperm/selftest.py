@@ -114,7 +114,7 @@ def criterion_4() -> None:
                 resid = np.linalg.norm(dense @ phi - lam * phi)
                 _require(resid <= 1e-8 * np.linalg.norm(phi) and _rel(lam**n, P) <= 1e-8,
                          f"eigenpair k={k} at n={n} seed={seed}")
-            for block in block_decompose(op, tol=1e-8):
+            for block in block_decompose(op):
                 _require(rref.matrix_rank(block) == 1 and _rel(np.trace(block), P) <= 1e-8,
                          f"power block at n={n} seed={seed}")
     for n, stats, seeds in ((3, "bosonic", 5), (4, "bosonic", 5), (5, "bosonic", 5),

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from . import bits, rref
+from . import rref
 from .errors import (
     BlockStructureError,
     ConsistencyError,
@@ -23,17 +24,11 @@ from .errors import (
     ZeroPermanentError,
 )
 from .matrix import format_complex
-from .operator import (
-    LevelVector,
-    SpinOperator,
-    apply_level,
-    dense_operator,
-    embed_level_vector,
-    evaluate,
-)
+from .operator import SpinOperator, dense_operator, embed_level_vector, evaluate, orbit
 
 SPECTRAL_MAX_N = 10
 DEFAULT_RESIDUAL_TOL = 1e-8
+HERMITIAN_TOL = 1e-12
 
 
 def _guard(op: SpinOperator) -> None:
@@ -41,8 +36,12 @@ def _guard(op: SpinOperator) -> None:
         raise SizeGuardError(f"spectral checks limited to n <= {SPECTRAL_MAX_N}")
 
 
-def _cycle_period(op: SpinOperator) -> int:
-    return op.n if op.variant == "breve" else op.n + 1
+def _powers(dense: np.ndarray):
+    """The power chain D, D**2, D**3, ... at one matrix product per link."""
+    power = dense
+    while True:
+        yield power
+        power = power @ dense
 
 
 def principal_root(value: complex, degree: int) -> complex:
@@ -56,7 +55,7 @@ def build_eigenvector(op: SpinOperator, k: int, P: complex) -> np.ndarray:
     Eigenvector for the eigenvalue ``exp(-2i pi k / period) * P**(1/period)``
     where the period is n for the closed variant and n+1 for the cyclic one.
     """
-    period = _cycle_period(op)
+    period = op.period
     if not 0 <= k < period:
         raise ValueError(f"k must be in [0, {period})")
     P = complex(P)
@@ -65,14 +64,11 @@ def build_eigenvector(op: SpinOperator, k: int, P: complex) -> np.ndarray:
     root = principal_root(P, period)
     dim = op.dimension
     acc = np.zeros(dim, dtype=np.complex128)
-    v = LevelVector.vacuum(op.n)
     scale = 1.0 + 0.0j
-    for j in range(period):
+    for j, v in enumerate(orbit(op)):
         phase = cmath.exp(2j * cmath.pi * j * k / period)
         acc += (phase / scale) * embed_level_vector(v, dim)
-        if j < period - 1:
-            v = apply_level(op, v)
-            scale *= root
+        scale *= root
     return cmath.exp(-2j * cmath.pi * k / period) * acc
 
 
@@ -111,17 +107,26 @@ class SpectrumReport:
         }
 
 
-def _kernel_ranks(dense: np.ndarray, n: int) -> list[int]:
-    """``nullity(D**m) - nullity(D**(m-1))`` for m = 1..max(n-1, 1)."""
-    ranks = []
-    power = np.eye(dense.shape[0], dtype=np.complex128)
-    prev = 0
-    for _ in range(max(n - 1, 1)):
-        power = power @ dense
-        nul = rref.nullity(power)
-        ranks.append(nul - prev)
-        prev = nul
-    return ranks
+def _prepare(op: SpinOperator) -> tuple[complex, np.ndarray]:
+    """The evaluated value, which must be nonzero, and the dense operator."""
+    _guard(op)
+    P = complex(evaluate(op)[0])
+    if P == 0:
+        raise ZeroPermanentError("spectral claims assume a nonzero permanent")
+    return P, dense_operator(op)
+
+
+def _walk_chain(dense: np.ndarray, n: int, links: int) -> tuple[list[int], np.ndarray]:
+    """Walk the power chain once, to ``D**links``.
+
+    Returns the generalized kernel ranks ``nullity(D**m) - nullity(D**(m-1))``
+    for m = 1..max(n-1, 1), and the last link.
+    """
+    nullities = [0]
+    for m, power in enumerate(islice(_powers(dense), links), 1):
+        if m <= max(n - 1, 1):
+            nullities.append(rref.nullity(power))
+    return [b - a for a, b in zip(nullities, nullities[1:])], power
 
 
 def generalized_kernel_ranks(op: SpinOperator) -> list[int]:
@@ -130,11 +135,8 @@ def generalized_kernel_ranks(op: SpinOperator) -> list[int]:
     ``r_m = nullity(D**m) - nullity(D**(m-1))``; the rank-nullity identity
     ``n + sum(r) == dimension`` holds whenever the permanent is nonzero.
     """
-    _guard(op)
-    P, _ = evaluate(op)
-    if complex(P) == 0:
-        raise ZeroPermanentError("generalized kernel ranks assume a nonzero value")
-    return _kernel_ranks(dense_operator(op), op.n)
+    _, dense = _prepare(op)
+    return _walk_chain(dense, op.n, max(op.n - 1, 1))[0]
 
 
 def verify_spectrum(op: SpinOperator, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumReport:
@@ -143,13 +145,8 @@ def verify_spectrum(op: SpinOperator, tol: float = DEFAULT_RESIDUAL_TOL) -> Spec
     Raises SpectralMismatchError on any residual above ``tol`` (relative)
     or on a failed rank identity.
     """
-    _guard(op)
-    period = _cycle_period(op)
-    P, _ = evaluate(op)
-    P = complex(P)
-    if P == 0:
-        raise ZeroPermanentError("spectral claims assume a nonzero permanent")
-    dense = dense_operator(op)
+    P, dense = _prepare(op)
+    period = op.period
     dim = op.dimension
     root = principal_root(P, period)
     report = SpectrumReport(
@@ -174,65 +171,53 @@ def verify_spectrum(op: SpinOperator, tol: float = DEFAULT_RESIDUAL_TOL) -> Spec
                 f"eigenvalue k={k} is not a {period}-th root of the evaluated value",
                 k=k,
             )
-    stable = np.linalg.matrix_power(dense, period)
+    # period >= max(n-1, 1), so the stable power is the walk's last link
+    report.generalized_kernel_ranks, stable = _walk_chain(dense, op.n, period)
     report.rank = rref.matrix_rank(stable)
     report.nullity = dim - report.rank
-    report.generalized_kernel_ranks = _kernel_ranks(dense, op.n)
-    if report.rank + report.nullity != dim:
-        raise SpectralMismatchError("rank + nullity does not match the dimension")
     if report.rank != period:
         raise SpectralMismatchError(
             f"stable rank {report.rank} differs from the cycle length {period}"
         )
     if period + sum(report.generalized_kernel_ranks) != dim:
-        raise SpectralMismatchError(
-            "generalized kernel ranks do not satisfy rank-nullity"
-        )
+        raise SpectralMismatchError("generalized kernel ranks do not satisfy rank-nullity")
     return report
 
 
-def block_decompose(op: SpinOperator, tol: float = DEFAULT_RESIDUAL_TOL) -> list[np.ndarray]:
+def block_decompose(op: SpinOperator) -> list[np.ndarray]:
     """Blocks of the n-th power of the closed-variant operator by level.
 
     Verifies that the power is block diagonal over Hamming levels and that
     each block is the rank-1 outer product of the forward and backward
-    power vectors.
+    power vectors: the orbit of the empty state and row 0 of ``D**(n-m)``.
     """
     _guard(op)
     if op.variant != "breve":
         raise ValueError("block decomposition is defined for the breve variant")
-    n = op.n
+    tol = DEFAULT_RESIDUAL_TOL
     dense = dense_operator(op)
-    power = np.linalg.matrix_power(dense, n)
+    rows = []  # row 0 of D**j for j = 1..n, copied off the chain
+    for power in islice(_powers(dense), op.n):
+        rows.append(power[0].copy())
     scale = float(np.max(np.abs(power))) or 1.0
-    level_idx = [bits.level_codes(n, h) for h in range(n)]
-    blocks = []
-    mask = np.zeros_like(power, dtype=bool)
-    for idx in level_idx:
-        mask[np.ix_(idx, idx)] = True
-    leak = float(np.max(np.abs(power[~mask]))) if (~mask).any() else 0.0
+    levels = np.bitwise_count(np.arange(op.dimension))
+    leak = float(np.max(np.abs(power[levels[:, None] != levels]), initial=0.0))
     if leak > tol * scale:
         raise BlockStructureError(
             f"cross-level amplitude {leak:.3e} exceeds {tol * scale:.3e}"
         )
-    # forward vectors: powers of the operator on the empty state
-    forward = [np.zeros(0)] * n
-    v = LevelVector.vacuum(n)
-    for m in range(n):
-        forward[m] = embed_level_vector(v, op.dimension)[level_idx[m]]
-        if m < n - 1:
-            v = apply_level(op, v)
-    for m, idx in enumerate(level_idx):
+    blocks = []
+    for v, row in zip(orbit(op), reversed(rows)):
+        idx = np.flatnonzero(levels == v.level)
         block = power[np.ix_(idx, idx)]
-        backward = np.linalg.matrix_power(dense, n - m)[0, idx]
-        outer = np.outer(forward[m], backward)
+        outer = np.outer(embed_level_vector(v, op.dimension)[idx], row[idx])
         if float(np.max(np.abs(block - outer))) > tol * scale:
-            raise BlockStructureError(f"level {m} block is not the expected outer product")
+            raise BlockStructureError(f"level {v.level} block is not the expected outer product")
         blocks.append(block)
     return blocks
 
 
-def hermitian_parts(op: SpinOperator, tol: float = 1e-12):
+def hermitian_parts(op: SpinOperator):
     """Hermitian and anti-Hermitian parts of the cycle power.
 
     Returns ``(M_R, M_I)`` whose actions on the empty state give the real
@@ -241,13 +226,11 @@ def hermitian_parts(op: SpinOperator, tol: float = 1e-12):
     period-th power of the operator.
     """
     _guard(op)
-    period = _cycle_period(op)
-    dense = dense_operator(op)
-    power = np.linalg.matrix_power(dense, period)
+    power = next(islice(_powers(dense_operator(op)), op.period - 1, None))
     m_r = (power + power.conj().T) / 2
     m_i = (power - power.conj().T) / 2j
     scale = max(float(np.max(np.abs(power))), 1.0)
     for name, h in (("M_R", m_r), ("M_I", m_i)):
-        if float(np.max(np.abs(h - h.conj().T))) > tol * scale:
+        if float(np.max(np.abs(h - h.conj().T))) > HERMITIAN_TOL * scale:
             raise ConsistencyError(f"{name} failed the hermiticity check")
     return m_r, m_i

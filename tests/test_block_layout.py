@@ -203,7 +203,7 @@ def test_size_guard_precedes_allocation(monkeypatch):
         with pytest.raises(SizeGuardError):
             evaluate(op)
         with pytest.raises(SizeGuardError):
-            operator.operator_power_on_zero(op, 2)
+            next(operator.orbit(op))
 
 
 def test_size_guard_limit():

@@ -286,6 +286,23 @@ def test_graph_zero_pivots_keep_numeric_labels(runner):
     assert result.stderr == ""
 
 
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_graph_round_exits_as_reduce_on_every_3x3_zero_one_input(runner, tmp_path, statistics):
+    # every 0/1 matrix of order 3: where the reduction succeeds, each
+    # reduced graph is drawn, with numeric labels where the n=3 closed
+    # forms hit a zero pivot
+    path = tmp_path / "m.csv"
+    for code in range(512):
+        entries = [str(code >> k & 1) for k in range(9)]
+        path.write_text("\n".join(",".join(entries[r * 3:r * 3 + 3]) for r in range(3)))
+        common = ["--input", str(path), "--statistics", statistics]
+        reduced = runner.invoke(main, ["reduce", *common])
+        for r in (1, 2):
+            drawn = runner.invoke(main, ["graph", *common, "--round", str(r)])
+            assert (drawn.exit_code, drawn.stderr) == (reduced.exit_code, reduced.stderr), code
+            assert drawn.stdout.startswith("digraph abp {") == (reduced.exit_code == 0)
+
+
 @pytest.mark.parametrize("command,rows,backend", [
     ("perm", [["1e30"] * 12] * 12, "float"),
     ("det", [["1e200", "0"], ["0", "1e200"]], "float"),

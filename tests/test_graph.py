@@ -56,6 +56,27 @@ def test_bosonic_candidates_need_nonzero_pivots(rows):
     assert _symbolic_candidates(op) == []
 
 
+def test_fermionic_candidates_without_a_second_round_entry():
+    # w'_{0,1} = 0, so elimination round 2 leaves w'_{0,0} as it is and
+    # w''_{0,0} has no entry of its own
+    op = SpinOperator(SquareMatrix.from_array(np.array([[2, 1, 1], [1, 1, 1], [1, 2, 3]])),
+                      "breve", "fermionic")
+    names = [name for name, _ in _symbolic_candidates(op)]
+    assert names == ["w'_{0,0}", "w'_{0,1}", "w'_{1,0}", "w'_{1,1}"]
+    g = graph_from_reduction(reduce_fully(op), 2)
+    assert count_paths(g) == 1
+
+
+def test_fermionic_candidates_on_a_zero_pivot_keep_numeric_labels():
+    # elimination round 1 divides by w[1,2] = 0 where kernel reduction does not
+    op = SpinOperator(random_matrix(3, 1, "zero_one"), "breve", "fermionic")
+    assert op.matrix.to_array()[1, 2] == 0 and op.matrix.to_array()[0, 2] != 0
+    assert _symbolic_candidates(op) == []
+    trace = reduce_fully(op)
+    for r in (1, 2):
+        assert count_paths(graph_from_reduction(trace, r)) == 1
+
+
 def test_graph_levels_step_by_one(m3):
     g = graph_from_operator(SpinOperator(m3, "breve", "fermionic"))
     level = {nd.id: nd.level for nd in g.nodes}

@@ -21,7 +21,7 @@ from spinperm import (
     determinant_gauss,
     evaluate,
     jw_sign,
-    operator_power_on_zero,
+    orbit,
     permanent_naive,
     permanent_ryser,
     random_matrix,
@@ -260,31 +260,30 @@ def test_power_matches_dense(variant, statistics):
     dense = dense_operator(op)
     e0 = np.zeros(op.dimension, dtype=np.complex128)
     e0[0] = 1.0
-    for p in range(n + 1):
-        lv = operator_power_on_zero(op, p)
+    levels = list(orbit(op))
+    assert [lv.level for lv in levels] == list(range(op.period))
+    for p, lv in enumerate(levels):
         expected = np.linalg.matrix_power(dense, p) @ e0
         got = embed_level_vector(lv, op.dimension)
-        if variant == "breve" and p == n:
-            assert rel_err(lv.amplitudes[0], expected[0]) < 1e-11
-        else:
-            assert np.max(np.abs(got - expected)) <= 1e-11 * max(
-                np.max(np.abs(expected)), 1.0
-            )
+        assert np.max(np.abs(got - expected)) <= 1e-11 * max(
+            np.max(np.abs(expected)), 1.0
+        )
+    if variant == "breve":
+        expected = np.linalg.matrix_power(dense, n) @ e0
+        assert rel_err(apply_closing(op, levels[-1]), expected[0]) < 1e-11
 
 
 def test_power_endpoints(m3):
     op = SpinOperator(m3, "breve", "bosonic")
-    p0 = operator_power_on_zero(op, 0)
+    assert op.period == 3 and SpinOperator(m3, "tilde", "bosonic").period == 4
+    p0 = next(orbit(op))
     assert p0.level == 0 and p0.amplitudes[0] == 1
-    pn = operator_power_on_zero(op, 3)
-    assert pn.level == 0
-    assert rel_err(pn.amplitudes[0], permanent_naive(m3)) < 1e-12
-    ferm = operator_power_on_zero(SpinOperator(m3, "breve", "fermionic"), 3)
-    assert rel_err(ferm.amplitudes[0], determinant_gauss(m3)) < 1e-12
-    with pytest.raises(RangeError):
-        operator_power_on_zero(op, 4)
-    with pytest.raises(RangeError):
-        operator_power_on_zero(op, -1)
+    *_, last = orbit(op)
+    assert last.level == 2
+    assert rel_err(apply_closing(op, last), permanent_naive(m3)) < 1e-12
+    ferm = SpinOperator(m3, "breve", "fermionic")
+    *_, last = orbit(ferm)
+    assert rel_err(apply_closing(ferm, last), determinant_gauss(m3)) < 1e-12
 
 
 def test_evaluate_exact_backend():
@@ -329,11 +328,12 @@ def test_exact_level_vectors_match_float(monkeypatch, n, variant, statistics):
     flt = SpinOperator(random_matrix(n, n, "zero_one"), variant, statistics)
     for cutover in (bits.BLOCK_CUTOVER_N, 0):
         monkeypatch.setattr(bits, "BLOCK_CUTOVER_N", cutover)
-        for p in range(n + 1):
-            ve, vf = operator_power_on_zero(exact, p), operator_power_on_zero(flt, p)
+        for ve, vf in zip(orbit(exact), orbit(flt), strict=True):
             assert ve.is_exact and ve.level == vf.level
             assert [complex(a) for a in ve.amplitudes] == list(vf.amplitudes)
             assert np.array_equal(ve.codes, vf.codes)
+        if variant == "breve":
+            assert complex(apply_closing(exact, ve)) == apply_closing(flt, vf)
 
 
 def test_level_vector_length_checked():
@@ -358,7 +358,7 @@ def test_evaluate_builds_each_level_once(monkeypatch, backend, variant, statisti
     n = 6
     op = SpinOperator(random_matrix(n, n, "zero_one", backend=backend), variant, statistics)
     evaluate(op)
-    assert len(built) <= (n if variant == "breve" else n + 1)
+    assert len(built) <= op.period
     assert sorted(built) == sorted(set(built))
 
 
@@ -387,8 +387,9 @@ def test_evaluate_calls_each_kernel_boundary_once_per_step(
 def test_level_vector_without_codes_applies_the_same(backend, statistics):
     n = 5
     op = SpinOperator(random_matrix(n, 7, "zero_one", backend=backend), "breve", statistics)
+    levels = list(orbit(op))
     for p in (0, 2, n - 1):
-        swept = operator_power_on_zero(op, p)
+        swept = levels[p]
         by_hand = LevelVector(n, p, list(swept.amplitudes) if swept.is_exact
                               else swept.amplitudes.copy())
         assert by_hand.codes is None
@@ -403,7 +404,7 @@ def test_level_vector_without_codes_applies_the_same(backend, statistics):
 
 
 def test_swept_codes_are_read_only():
-    v = operator_power_on_zero(SpinOperator(random_matrix(6, 2), "breve", "bosonic"), 3)
+    v = list(orbit(SpinOperator(random_matrix(6, 2), "breve", "bosonic")))[3]
     with pytest.raises(ValueError):
         v.codes[0] = 0
 

@@ -14,16 +14,19 @@ from spinperm import (
     ExactComplex,
     SpinOperator,
     SquareMatrix,
+    dense_operator,
     determinant_gauss,
     evaluate,
     format_complex,
     jw_sign,
+    orbit,
     parse_complex_literal,
     permanent_naive,
     permanent_ryser,
     random_matrix,
 )
 from spinperm import bits
+from spinperm.operator import embed_level_vector
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -130,3 +133,23 @@ def test_rational_row_scaling_on_the_exact_backend(n, statistics):
     value, _ = evaluate(SpinOperator(SquareMatrix.from_exact_rows(a), "breve", statistics))
     result, _ = evaluate(SpinOperator(SquareMatrix.from_exact_rows(scaled), "breve", statistics))
     assert result == ExactComplex.of(math.prod(d)) * value
+
+
+@given(n=st.integers(1, 6), data=st.data(), variant=st.sampled_from(["breve", "tilde"]),
+       statistics=st.sampled_from(["bosonic", "fermionic"]))
+@settings(max_examples=40, deadline=None)
+def test_orbit_is_the_dense_powers_on_the_empty_state(n, data, variant, statistics):
+    # small Gaussian integers, zeros included: every amplitude is an integer
+    # far below 2**53, so the sweep and the dense powers agree exactly
+    parts = data.draw(st.lists(st.integers(-2, 2), min_size=2 * n * n, max_size=2 * n * n))
+    a = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(n, n)
+    op = SpinOperator(SquareMatrix.from_array(a), variant, statistics)
+    dense = dense_operator(op)
+    power_on_e0 = np.zeros(op.dimension, dtype=np.complex128)
+    power_on_e0[0] = 1.0
+    levels = list(orbit(op))
+    assert len(levels) == op.period
+    for p, v in enumerate(levels):
+        assert v.level == p
+        assert np.array_equal(embed_level_vector(v, op.dimension), power_on_e0)
+        power_on_e0 = dense @ power_on_e0

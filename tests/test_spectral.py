@@ -11,7 +11,7 @@ from spinperm import (
     evaluate,
     random_matrix,
 )
-from spinperm import rref
+from spinperm import bits, rref, spectral
 from spinperm.operator import dense_operator
 from spinperm.spectral import (
     SPECTRAL_MAX_N,
@@ -192,3 +192,45 @@ def test_verify_spectrum_impossible_tolerance(m3):
     with pytest.raises(SpectralMismatchError) as exc:
         verify_spectrum(SpinOperator(m3, "breve", "bosonic"), tol=1e-300)
     assert exc.value.k is not None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("variant", ["breve", "tilde"])
+def test_verify_spectrum_walks_one_power_chain(monkeypatch, n, variant):
+    # n-1 kernel nullities and one stable rank, all off one chain of powers
+    # of the one dense operator
+    calls = {"rref": 0, "dense_operator": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(rref, "rref", counting("rref", rref.rref))
+    monkeypatch.setattr(spectral, "dense_operator", counting("dense_operator", dense_operator))
+    report = verify_spectrum(SpinOperator(random_matrix(n, n, "complex_gaussian"), variant,
+                                          "bosonic"))
+    assert report.rank == n + (variant == "tilde")
+    assert calls == {"rref": n, "dense_operator": 1}
+
+
+def test_block_decompose_and_hermitian_parts_read_the_chain(monkeypatch, m3):
+    def no_matrix_power(*args):
+        raise AssertionError("np.linalg.matrix_power called")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", no_matrix_power)
+    op = SpinOperator(random_matrix(5, 2, "complex_gaussian"), "breve", "fermionic")
+    assert len(block_decompose(op)) == 5
+    hermitian_parts(op)
+    hermitian_parts(SpinOperator(m3, "tilde", "bosonic"))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_block_decompose_matches_binary_powering(n):
+    op = SpinOperator(random_matrix(n, 4, "complex_gaussian"), "breve", "bosonic")
+    power = np.linalg.matrix_power(dense_operator(op), n)
+    scale = np.max(np.abs(power))
+    for h, block in enumerate(block_decompose(op)):
+        idx = bits.level_codes(n, h)
+        assert np.max(np.abs(block - power[np.ix_(idx, idx)])) <= 1e-12 * scale
