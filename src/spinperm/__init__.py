@@ -10,9 +10,9 @@ from importlib import import_module
 # module -> the public names it defines
 _EXPORTS = {
     "errors": (
-        "BlockStructureError", "ConsistencyError", "DimensionError", "LevelMismatchError",
-        "OccupiedSiteError", "ParseError", "RangeError", "SizeGuardError",
-        "SpectralMismatchError", "SpinpermError", "ZeroPermanentError", "ZeroPivotError",
+        "BlockStructureError", "ConsistencyError", "LevelMismatchError", "OccupiedSiteError",
+        "ParseError", "RangeError", "SizeGuardError", "SpectralMismatchError", "SpinpermError",
+        "ZeroPermanentError", "ZeroPivotError",
     ),
     "exact": ("ExactComplex",),
     "matrix": (
@@ -31,8 +31,8 @@ _EXPORTS = {
         "hermitian_parts", "verify_spectrum",
     ),
     "reduction": (
-        "GaussianComparison", "ReductionState", "ReductionTrace", "eigenvector_pushforward",
-        "factor_round", "fermionic_matches_gaussian", "kernel_basis", "reduce_fully",
+        "GaussianComparison", "ReductionState", "ReductionTrace", "factor_round",
+        "fermionic_matches_gaussian", "kernel_basis", "reduce_fully",
     ),
     "graph": (
         "AbpEdge", "AbpGraph", "AbpNode", "count_paths", "export_dot", "graph_from_operator",

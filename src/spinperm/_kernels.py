@@ -27,14 +27,13 @@ fits, and otherwise one term for a tile of destinations.  So the raise's
 scratch is fixed whatever the block size, and every destination still
 sums its terms in term order from the dtype's zero (``_ZERO``).
 
-Jordan-Wigner sign: exactly i occupied bits lie below the bit that term i
-raises, within the b or t bits of its table.  A low bit has no top bit
-below it, so term i's sign is (-1)**i; a top bit lies above all k = h-j
-low bits of its block, so its sign is (-1)**(k+i).  The sign depends on
-the term only, so it is folded into the weight index: every pull gathers
-its weights from ``[wbits, -wbits]`` (``_weights``), and the determinant
-costs what the permanent costs.  The closing step is the raise into level
-n, whose only block is 1x1 and whose only code is ``2**n - 1``.
+Jordan-Wigner sign: a table carries each term's odd mask from
+``bits.raise_edges`` on its own b or t bits, folded into the weight index,
+so every pull gathers its weights from ``[wbits, -wbits]`` (``_weights``)
+and the determinant costs what the permanent costs.  A top bit also lies
+above all k = h-j low bits of its block, which its table does not see;
+``flip`` adds their parity.  The closing step is the raise into level n,
+whose only block is 1x1 and whose only code is ``2**n - 1``.
 
 ``apply_level`` and ``apply_closing`` are the two boundaries the sweep
 calls through this module's attributes, so a caller can wrap them to time
@@ -55,8 +54,8 @@ HAVE_NUMBA = False
 # (bits, weight k) -> (sbit, pos), each of shape (k+1, C(bits, k+1)): term i
 # of the weight-(k+1) code at column d raises its i-th lowest set bit
 # sbit[i, d] % bits from the weight-k code at position pos[i, d] (both
-# ascending); sbit[i, d] // bits is i's parity, so ``sbit`` indexes the
-# table's weights followed by their negations (``_weight_index``).  An
+# ascending); sbit[i, d] // bits is that edge's odd mask, so ``sbit`` indexes
+# the table's weights followed by their negations (``_weight_index``).  An
 # entry depends only on its key, so every caller may share it; bits never
 # exceed max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 under the size guard, which
 # bounds the cache at about 8 MB (16 bytes per edge).
@@ -101,13 +100,15 @@ def _table(nbits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     table = _TABLES.get((nbits, k))
     if table is None:
-        edges = list(bits.raise_edges(bits.shared_level_codes(nbits, k), nbits, False))
+        edges = list(bits.raise_edges(bits.shared_level_codes(nbits, k), nbits, True))
         raised = np.concatenate([raised for _, _, raised, _ in edges])
         order = np.argsort(raised, kind="stable")  # p ascends within a destination
         bit = np.repeat(np.arange(nbits), [len(pos) for _, pos, _, _ in edges])
         pos = np.concatenate([pos for _, pos, _, _ in edges])
-        bit, pos = (a[order].reshape(-1, k + 1) for a in (bit, pos))  # (destination, term)
-        bit += nbits * (np.arange(k + 1) & 1)
+        odd = np.concatenate([odd for _, _, _, odd in edges])
+        # (destination, term)
+        bit, pos, odd = (a[order].reshape(-1, k + 1) for a in (bit, pos, odd))
+        bit += nbits * odd
         table = _TABLES[(nbits, k)] = (np.ascontiguousarray(bit.T), np.ascontiguousarray(pos.T))
     return table
 

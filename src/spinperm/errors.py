@@ -49,9 +49,5 @@ class BlockStructureError(SpinpermError):
     """Power of the operator leaks amplitude across Hamming levels."""
 
 
-class DimensionError(SpinpermError):
-    """Vector or matrix dimension does not match the expected round."""
-
-
 class ConsistencyError(SpinpermError):
     """An internal identity that should hold by construction failed."""

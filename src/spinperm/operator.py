@@ -95,12 +95,6 @@ class OpCount:
         self.multiplications += edges
         self.additions += edges
 
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            self.multiplications + other.multiplications,
-            self.additions + other.additions,
-        )
-
 
 def spin_op_count(n: int) -> OpCount:
     """Counted cost of the full closed-variant sweep: n * 2**n in total."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -153,6 +154,23 @@ def determinant_gauss(matrix: SquareMatrix):
     return complex(sign * np.prod(np.diag(a)))
 
 
+def log_rounding_scale(matrix: SquareMatrix) -> float:
+    """log(n·ε·∏ᵢ‖aᵢ‖₂), the scale of float elimination's rounding residue.
+
+    ∏ᵢ‖aᵢ‖₂ bounds |det A| (Hadamard), and ε is float64 machine epsilon.
+    Each row's norm is taken on the row divided by its largest modulus and
+    the logs are summed, so no square or product overflows; a zero row
+    gives -inf.
+    """
+    a = np.abs(matrix.to_array())
+    peak = a.max(axis=1)
+    if not peak.all():
+        return -math.inf
+    norms = np.linalg.norm(a / peak[:, None], axis=1)
+    return math.log(matrix.n * np.finfo(np.float64).eps) + float(
+        np.log(peak).sum() + np.log(norms).sum())
+
+
 def _determinant_exact(matrix: SquareMatrix) -> ExactComplex:
     n = matrix.n
     a = [list(row) for row in matrix.entries]
@@ -188,18 +206,11 @@ def lower_triangular_reduce(matrix: SquareMatrix):
     Round k clears column n-k above the diagonal by subtracting a multiple of
     the row directly below, all updates taken simultaneously from the
     previous round's matrix.  There is no pivoting freedom: a vanishing
-    divisor raises ZeroPivotError naming the entry.  Returns the final
-    matrix and each round's reweighted entries.
+    divisor raises ZeroPivotError naming the entry.  Takes a float matrix;
+    returns the final matrix and each round's reweighted entries.
     """
     n = matrix.n
-    exact = matrix.backend == "exact"
-    a = [list(row) for row in matrix.entries] if exact else [
-        [complex(v) for v in row] for row in matrix.entries
-    ]
-
-    def is_zero(v):
-        return v.is_zero() if exact else v == 0
-
+    a = [[complex(v) for v in row] for row in matrix.entries]
     rounds = []
     for k in range(1, n):
         col = n - k
@@ -207,10 +218,10 @@ def lower_triangular_reduce(matrix: SquareMatrix):
         prev = [row[:] for row in a]
         for i in range(col):
             numerator = prev[i][col]
-            if is_zero(numerator):
+            if numerator == 0:
                 continue
             pivot = prev[i + 1][col]
-            if is_zero(pivot):
+            if pivot == 0:
                 raise ZeroPivotError(
                     f"round {k} needs a nonzero w[{i + 1},{col}]",
                     entry=(i + 1, col),
@@ -222,8 +233,4 @@ def lower_triangular_reduce(matrix: SquareMatrix):
                 if a[i][c] != prev[i][c]:
                     changed[(i, c)] = a[i][c]
         rounds.append(changed)
-    if exact:
-        reduced = SquareMatrix.from_exact_rows(a)
-    else:
-        reduced = SquareMatrix.from_array(np.array(a, dtype=np.complex128))
-    return reduced, rounds
+    return SquareMatrix.from_array(np.array(a, dtype=np.complex128)), rounds

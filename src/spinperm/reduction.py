@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rref
-from .errors import ConsistencyError, DimensionError, SizeGuardError, ZeroPivotError
+from .errors import ConsistencyError, SizeGuardError, ZeroPivotError
 from .matrix import SquareMatrix, format_complex
 from .operator import BasisState, SpinOperator, dense_operator
 from .oracles import determinant_gauss, lower_triangular_reduce
@@ -61,11 +61,6 @@ class ReductionTrace:
     rounds: list[ReductionState]
     final_operator: np.ndarray
     final_product: complex
-
-    def state(self, round: int) -> ReductionState:
-        if round == 0:
-            return self.initial
-        return self.rounds[round - 1]
 
     def to_json_dict(self) -> dict:
         rounds = []
@@ -199,25 +194,10 @@ def _validate_final(op: SpinOperator, final: np.ndarray, basis: list[BasisState]
             raise ConsistencyError("final cycle does not step one level at a time")
 
 
-def reduce_fully(op: SpinOperator, perturb: bool = False) -> ReductionTrace:
-    """Run n-1 factorization rounds down to the n-state cycle.
-
-    ``perturb`` adds a 1e-30-scaled random offset (seed 0) to every matrix
-    entry before reducing; this unsticks structurally zero pivots for
-    exploratory runs at the cost of meaningless reduced weights.
-    """
+def reduce_fully(op: SpinOperator) -> ReductionTrace:
+    """Run n-1 factorization rounds down to the n-state cycle."""
     if op.variant != "breve":
         raise ValueError("row reduction is defined for the breve variant")
-    if perturb:
-        arr = op.matrix.to_array()
-        scale = max(float(np.max(np.abs(arr))), 1.0)
-        rng = np.random.default_rng(0)
-        noise = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
-        op = SpinOperator(
-            SquareMatrix.from_array(arr + 1e-30 * scale * noise),
-            op.variant,
-            op.statistics,
-        )
     state = initial_state(op)
     initial = state
     rounds = []
@@ -233,24 +213,6 @@ def reduce_fully(op: SpinOperator, perturb: bool = False) -> ReductionTrace:
         final_operator=state.operator,
         final_product=final_product,
     )
-
-
-def eigenvector_pushforward(
-    trace: ReductionTrace, phi: np.ndarray, round: int
-) -> np.ndarray:
-    """Project an eigenvector through one round: ``B_round @ phi``."""
-    if not 1 <= round <= len(trace.rounds):
-        raise DimensionError(f"round must be in [1, {len(trace.rounds)}]")
-    b = trace.rounds[round - 1].B
-    if b is None:
-        return np.array(phi, dtype=np.complex128)
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (b.shape[1],):
-        raise DimensionError(
-            f"round {round} expects a vector of dimension {b.shape[1]}, "
-            f"got {phi.shape}"
-        )
-    return b @ phi
 
 
 @dataclass

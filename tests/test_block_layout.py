@@ -64,6 +64,16 @@ def test_pull_tables_list_the_raise_edges(nbits):
         assert pulled == edges  # every edge exactly once, with raise_edges' odd mask
 
 
+@pytest.mark.parametrize("nbits", range(1, 11))
+def test_pull_table_parity_is_parity_below(nbits):
+    # the scalar definition, entry by entry, independent of raise_edges
+    for k in range(nbits):
+        src = bits.level_codes(nbits, k).tolist()
+        sbit, pos = _kernels._table(nbits, k)
+        for entry, at in zip(sbit.ravel().tolist(), pos.ravel().tolist()):
+            assert entry // nbits == bits.parity_below(src[at], 1 << entry % nbits)
+
+
 def _scalar_step(src, dst, amps, wbits, fermionic):
     """The raising rule edge by edge in ascending code order, mapped back."""
     n = wbits.shape[0]

@@ -23,6 +23,7 @@ from spinperm import (
     reduce_fully,
     selftest,
 )
+from spinperm import cli, operator
 from spinperm.cli import main
 from spinperm.errors import ConsistencyError
 
@@ -77,6 +78,50 @@ def test_det_cross_check(runner, tmp_path, m3):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["relative_difference"] < 1e-10
+
+
+# singular 0/1 inputs: the sweep's exact 0 against elimination's rounding
+# residue, a relative difference of 1.0
+SINGULAR_RESIDUES = {(10, 6): "2.498001805406602e-16", (10, 10): "4.4408920985006257e-16",
+                     (10, 22): "-1.6653345369377348e-16", (14, 0): "-8.881784197001248e-16",
+                     (14, 6): "-3.5527136788005005e-15"}
+
+
+@pytest.mark.parametrize("n, seed", SINGULAR_RESIDUES)
+def test_det_accepts_the_elimination_rounding_residue(runner, n, seed):
+    result = invoke(runner, ["det", "--gen", f"n={n},seed={seed},kind=zero_one",
+                             "--format", "json"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "determinant": "0.0", "elimination_check": SINGULAR_RESIDUES[n, seed],
+        "relative_difference": 1.0, "total_ops": n << n,
+    }
+
+
+def corrupt_sweep(monkeypatch, corrupt):
+    def evaluate(op):
+        value, count = operator.evaluate(op)
+        return corrupt(value), count
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+
+
+def assert_disagreement(result):
+    assert result.exit_code == 1
+    assert json.loads(result.stderr.splitlines()[-1])["error"] == "verification"
+
+
+@pytest.mark.parametrize("n, seed", SINGULAR_RESIDUES)
+def test_det_rounding_floor_still_catches_an_off_by_one(runner, monkeypatch, n, seed):
+    corrupt_sweep(monkeypatch, lambda value: value + 1)
+    assert_disagreement(runner.invoke(main, ["det", "--gen", f"n={n},seed={seed},kind=zero_one"]))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_det_rounding_floor_still_catches_a_small_relative_error(runner, monkeypatch, n):
+    corrupt_sweep(monkeypatch, lambda value: value * (1 + 1e-8))
+    assert_disagreement(runner.invoke(main, ["det", "--gen", f"n={n},seed={n}"]))
 
 
 def test_reduce_removed_sets(runner):
@@ -253,28 +298,23 @@ def test_bench_needs_a_repeat(runner, repeats):
     assert input_error(result) == f"need --repeats >= 1, got {repeats}"
 
 
-def test_tol_env_default(runner, monkeypatch):
-    monkeypatch.setenv("SPINPERM_TOL", "1e-1")
-    result = invoke(runner, ["det", "--gen", "n=3,seed=4"])
-    assert result.exit_code == 0
-
-
-@pytest.mark.parametrize("command", ["det", "spectrum"])
-def test_tol_env_not_a_number_is_input_error(runner, monkeypatch, command):
-    monkeypatch.setenv("SPINPERM_TOL", "abc")
-    result = runner.invoke(main, [command, "--gen", "n=3"])
-    assert input_error(result) == "SPINPERM_TOL='abc' is not a number"
-
-
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["det", "spectrum"])
-def test_tol_must_be_finite_and_non_negative(runner, monkeypatch, command, value):
+def test_tol_must_be_finite_and_non_negative(runner, command, value):
     # a nan or infinite tolerance would pass every check, a negative one fail it
     result = runner.invoke(main, [command, "--gen", "n=3", "--tol", value])
     assert input_error(result) == f"--tol {float(value)!r} must be finite and >= 0"
-    monkeypatch.setenv("SPINPERM_TOL", value)
-    result = runner.invoke(main, [command, "--gen", "n=3"])
-    assert input_error(result) == f"SPINPERM_TOL={value!r} must be finite and >= 0"
+
+
+@pytest.mark.parametrize("command", ["det", "spectrum"])
+def test_tolerance_environment_variable_is_ignored(runner, monkeypatch, command):
+    # --tol is the one way to set a tolerance
+    argv = [command, "--gen", "n=3,seed=4"]
+    expected = invoke(runner, argv).stdout
+    monkeypatch.setenv("SPINPERM_TOL", "abc")
+    result = invoke(runner, argv)
+    assert result.exit_code == 0
+    assert result.stdout == expected
 
 
 def test_graph_zero_pivots_keep_numeric_labels(runner):
@@ -374,7 +414,7 @@ OPTIONS = {
     "det": {"--input", "--gen", "--backend", "--variant", "--tol", "--output", "--format"},
     "spectrum": {"--input", "--gen", "--variant", "--statistics", "--tol", "--output",
                  "--format"},
-    "reduce": {"--input", "--gen", "--statistics", "--output", "--format", "--perturb"},
+    "reduce": {"--input", "--gen", "--statistics", "--output", "--format"},
     "graph": {"--input", "--gen", "--variant", "--statistics", "--output", "--format",
               "--round", "--numeric-weights", "--hide-signs"},
     "bench": {"--min-n", "--max-n", "--repeats", "--seed", "--output"},
@@ -497,4 +537,4 @@ def test_star_import_exports_every_public_name():
         " sum(name in dir(spinperm) for name in names))\n"
     )
     count, imported, listed = map(int, out.split())
-    assert count == imported == listed == 62
+    assert count == imported == listed == 60

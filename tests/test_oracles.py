@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spinperm import (
     random_matrix,
 )
 from spinperm.bench import ryser_op_count
+from spinperm.oracles import log_rounding_scale
 
 
 def test_naive_identity():
@@ -190,3 +193,12 @@ def test_ryser_op_count_matches_counting_reference():
         assert counted["add"] == expected.additions
         assert expected.total == n * 2 ** (n + 1) - (n + 1) ** 2
         assert rel_err(total[0], permanent_ryser(SquareMatrix.from_array(a))) < 1e-10
+
+
+def test_rounding_scale_is_finite_where_its_product_overflows():
+    # ∏‖aᵢ‖₂ = 5e300 · 1e300 · 1e-300 overflows a double; its log does not
+    eps = np.finfo(np.float64).eps
+    m = SquareMatrix.from_array([[3e300, 4e300, 0], [0, 1e300, 0], [0, 0, 1e-300]])
+    expected = math.log(3 * eps) + math.log(5e300) + math.log(1e300) + math.log(1e-300)
+    assert math.isclose(log_rounding_scale(m), expected, rel_tol=1e-12)
+    assert log_rounding_scale(SquareMatrix.from_array([[1, 2], [0, 0]])) == -math.inf

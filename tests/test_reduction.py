@@ -3,18 +3,17 @@ import pytest
 
 from conftest import rel_err
 from spinperm import (
-    DimensionError,
     SpinOperator,
     SquareMatrix,
     determinant_gauss,
     evaluate,
+    lower_triangular_reduce,
     permanent_ryser,
     random_matrix,
 )
 from spinperm import rref
 from spinperm.operator import dense_operator
 from spinperm.reduction import (
-    eigenvector_pushforward,
     factor_round,
     fermionic_matches_gaussian,
     initial_state,
@@ -220,20 +219,10 @@ def test_spectrum_preserved_by_pushforward():
     for k in range(4):
         lam = cmath.exp(-2j * cmath.pi * k / 4) * root
         phi = build_eigenvector(op, k, P)
-        for r, state in enumerate(trace.rounds, start=1):
-            phi = eigenvector_pushforward(trace, phi, r)
+        for state in trace.rounds:
+            phi = state.B @ phi
             resid = np.linalg.norm(state.operator @ phi - lam * phi)
             assert resid <= 1e-8 * np.linalg.norm(phi)
-
-
-def test_pushforward_zero_and_dimension(m3):
-    trace = reduce_fully(SpinOperator(m3, "breve", "bosonic"))
-    zero = np.zeros(7, dtype=np.complex128)
-    assert np.array_equal(eigenvector_pushforward(trace, zero, 1), np.zeros(5))
-    with pytest.raises(DimensionError):
-        eigenvector_pushforward(trace, np.zeros(6), 1)
-    with pytest.raises(DimensionError):
-        eigenvector_pushforward(trace, zero, 5)
 
 
 def test_fermionic_matches_gaussian_n3():
@@ -270,6 +259,49 @@ def test_fermionic_matches_gaussian_general_n():
     assert rep.final_rel_err < 1e-9
 
 
+def elimination_round(matrix, r):
+    """Basis codes and edges that round r of the fermionic reduction should
+    have if it is the spin operator of r rounds of fixed-order elimination.
+
+    With E_r the eliminated matrix and m = n-r: the codes with their low r
+    bits clear carry the tilde operator of E_r's leading m×m block, shifted
+    left by r bits, whose unit return edge gives way to a tail
+    1^(m+j)0^(r-j) -> 1^(m+j+1)0^(r-j-1) of weights E_r[m+j, m+j] that
+    closes onto the empty state.
+    """
+    n, m = matrix.n, matrix.n - r
+    e = matrix.to_array()
+    for changed in lower_triangular_reduce(matrix)[1][:r]:
+        for (i, c), value in changed.items():
+            e[i, c] = value
+    ones = [((1 << k) - 1) << (n - k) for k in range(n)] + [0]  # 1^k 0^(n-k); 1^n closes
+    codes = [code << r for code in range(1 << m)] + ones[m + 1:n]
+    block = dense_operator(SpinOperator(SquareMatrix.from_array(e[:m, :m]), "tilde",
+                                        "fermionic"))
+    block[0, -1] = 0
+    edges = {(codes[t], codes[s]): block[t, s] for t, s in zip(*np.nonzero(block))}
+    edges.update({(ones[m + j + 1], ones[m + j]): e[m + j, m + j] for j in range(r)})
+    return sorted(codes), edges
+
+
+@pytest.mark.parametrize("kind", ["complex_gaussian", "real_uniform"])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fermionic_rounds_are_the_elimination_rounds(kind, n, seed):
+    # generic inputs only: on degenerate ones the kernel may pick other leads
+    matrix = random_matrix(n, seed, kind)
+    trace = reduce_fully(SpinOperator(matrix, "breve", "fermionic"))
+    for r, state in enumerate(trace.rounds, start=1):
+        codes, edges = elimination_round(matrix, r)
+        assert [s.code for s in state.basis] == codes
+        index = {code: i for i, code in enumerate(codes)}
+        expected = np.zeros_like(state.operator)
+        for (target, source), weight in edges.items():
+            expected[index[target], index[source]] = weight
+        scale = np.max(np.abs(state.operator))
+        assert np.max(np.abs(state.operator - expected)) <= 1e-9 * scale
+
+
 def test_trace_json(m3):
     trace = reduce_fully(SpinOperator(m3, "breve", "fermionic"))
     doc = trace.to_json_dict()
@@ -277,11 +309,6 @@ def test_trace_json(m3):
     assert doc["rounds"][1]["removed"] == ["010"]
     assert len(doc["final_cycle"]) == 3
     assert set(doc["rounds"][0]["fill_stats"]) == {"reweighted", "unchanged", "new"}
-
-
-def test_perturb_mode_runs(m3):
-    trace = reduce_fully(SpinOperator(m3, "breve", "bosonic"), perturb=True)
-    assert rel_err(trace.final_product, permanent_ryser(m3)) < 1e-6
 
 
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
