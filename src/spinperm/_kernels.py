@@ -17,7 +17,7 @@ clears the destination's i-th lowest set bit.  The tables ``(sbit, pos)``
 for those terms are built once per (bits, weight) from
 ``bits.raise_edges`` on b or t bits, so the raising rule keeps its one
 definition and no raise searches for or scatters into its targets.  The
-pulls of each level, with their block offsets, chunks and weight indices,
+pulls of each level, with their block offsets, chunks and weight vectors,
 are planned once per layout (``_plan``), so a step does no layout
 arithmetic; a one-block level is a plan with one pull.
 
@@ -28,12 +28,13 @@ scratch is fixed whatever the block size, and every destination still
 sums its terms in term order from the dtype's zero (``_ZERO``).
 
 Jordan-Wigner sign: a table carries each term's odd mask from
-``bits.raise_edges`` on its own b or t bits, folded into the weight index,
-so every pull gathers its weights from ``[wbits, -wbits]`` (``_weights``)
-and the determinant costs what the permanent costs.  A top bit also lies
-above all k = h-j low bits of its block, which its table does not see;
-``flip`` adds their parity.  The closing step is the raise into level n,
-whose only block is 1x1 and whose only code is ``2**n - 1``.
+``bits.raise_edges`` on its own b or t bits, folded into ``sbit``, so a
+pull gathers its weights from its bits' ``[w, -w]`` (``_weights``) and the
+determinant costs what the permanent costs.  A top bit also lies above all
+k = h-j low bits of its block, which its table does not see; when their
+parity is odd the pull reads the top bits' ``[-w, w]`` instead.  The
+closing step is the raise into level n, whose only block is 1x1 and whose
+only code is ``2**n - 1``.
 
 ``apply_level`` and ``apply_closing`` are the two boundaries the sweep
 calls through this module's attributes, so a caller can wrap them to time
@@ -55,7 +56,7 @@ HAVE_NUMBA = False
 # of the weight-(k+1) code at column d raises its i-th lowest set bit
 # sbit[i, d] % bits from the weight-k code at position pos[i, d] (both
 # ascending); sbit[i, d] // bits is that edge's odd mask, so ``sbit`` indexes
-# the table's weights followed by their negations (``_weight_index``).  An
+# the table's weights followed by their negations (``_weights``).  An
 # entry depends only on its key, so every caller may share it; bits never
 # exceed max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 under the size guard, which
 # bounds the cache at about 8 MB (16 bytes per edge).
@@ -70,15 +71,10 @@ _TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 # fastest on a 2-core x86-64 host.
 _PULL_ELEMENTS = 1 << 14
 
-# (n, h, b) -> ``_plan(n, h)``: views into ``_TABLES`` and ``_INDEX`` and a
-# few offsets, at most two entries per block, for the n <= 28 the size guard
-# lets a sweep reach.  Keyed by b as well, as ``bits._level_blocks`` is.
+# (n, h, b) -> ``_plan(n, h)``: views into ``_TABLES`` and a few offsets,
+# at most two entries per block, for the n <= 28 the size guard lets a sweep
+# reach.  Keyed by b as well, as ``bits._level_blocks`` is.
 _PLANS: dict[tuple[int, int, int], tuple] = {}
-
-# (n, bits, k, offset, flip) -> ``_weight_index``: a split layout's tables
-# re-indexed, one low and two top variants per table, so at most three times
-# the ``sbit`` entries (24 bytes per edge of the b- and t-bit operators).
-_INDEX: dict[tuple[int, int, int, int, int], np.ndarray] = {}
 
 
 # Where a fresh pull's sum starts, by amplitude dtype: 0.0 as ``sum`` starts
@@ -116,17 +112,16 @@ def _table(nbits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _plan(n: int, h: int) -> tuple:
     """The pulls of one raise from level h, built once per layout.
 
-    One entry per pull, in block order: ``(src, dst, transposed, take,
+    One entry per pull, in block order: ``(src, dst, transposed, weights,
     chunks)``.  ``src`` and ``dst`` are ``(start, stop, shape)`` of a block
     of level h and of level h+1; ``transposed`` marks a low-bit pull, which
-    maps columns; ``take`` marks a pull whose source view is contiguous, so
-    ``ndarray.take`` gathers from it without copying it whole.  ``chunks``
-    are ``(lo, hi, index, pos, fresh)``: the terms ``index`` and ``pos`` of
-    destinations lo..hi-1, at most ``_PULL_ELEMENTS`` gathered amplitudes,
-    where ``index`` is the table's ``sbit`` as indices into ``_weights``
-    (``_weight_index``); ``fresh`` marks the first chunk into those
-    destinations of their block.  A one-block level (b = n) is a plan with
-    one entry.
+    maps columns.  ``weights`` names the vector of ``_raise`` the pull
+    reads: 0 for the low bits, 1 or 2 for the top bits under an even or odd
+    count of occupied low bits.  ``chunks`` are ``(lo, hi, index, pos,
+    fresh)``: the terms of destinations lo..hi-1, at most ``_PULL_ELEMENTS``
+    gathered amplitudes, where ``index`` is the table's ``sbit``; ``fresh``
+    marks the first chunk into those destinations of their block.  A
+    one-block level (b = n) is a plan with one entry.
     """
     b = bits.low_bits(n)
     plan = _PLANS.get((n, h, b))
@@ -139,27 +134,26 @@ def _plan(n: int, h: int) -> tuple:
             # block j of level h+1 first receives the top pull from block
             # j-1, so only the first block's low pull is fresh
             if k < b:  # raise a low bit: column map within block j
-                plan.append(_pull_plan(n, src, into[j], True, i == 0, rows, b, k, 0, 0))
+                plan.append(_pull_plan(src, into[j], True, i == 0, rows, b, k, 0))
             if j < t:  # raise a top bit: row map from block j into block j+1
-                plan.append(_pull_plan(n, src, into[j + 1], False, True, cols, t, j, b, k & 1))
+                plan.append(_pull_plan(src, into[j + 1], False, True, cols, t, j, 1 + (k & 1)))
         plan = _PLANS[(n, h, b)] = tuple(plan)
     return plan
 
 
-def _pull_plan(n, src, dst, transposed, fresh, width, nbits, k, offset, flip):
+def _pull_plan(src, dst, transposed, fresh, width, nbits, k, weights):
     """One pull of ``_plan``, into the ``(start, rows, cols)`` block ``dst``
     of level h+1; each destination gathers ``width`` amplitudes per term."""
     start, rows, cols = dst
-    pos = _table(nbits, k)[1]
-    index = _weight_index(n, nbits, k, offset, flip)[..., None]
+    index, pos = _table(nbits, k)
+    index = index[..., None]
     terms, dests = pos.shape
     step = max(1, _PULL_ELEMENTS // (dests * width))  # terms per chunk
     tile = min(dests, _PULL_ELEMENTS // (step * width))  # destinations per chunk
     chunks = tuple((d, min(d + tile, dests), index[i:i + step, d:d + tile],
                     pos[i:i + step, d:d + tile], fresh and i == 0)
                    for d in range(0, dests, tile) for i in range(0, terms, step))
-    take = not transposed or src[2][0] == 1  # a one-row block's columns are contiguous
-    return src, (start, start + rows * cols, (rows, cols)), transposed, take, chunks
+    return src, (start, start + rows * cols, (rows, cols)), transposed, weights, chunks
 
 
 def _offsets(n: int, h: int) -> dict[int, tuple[int, int, int]]:
@@ -171,28 +165,11 @@ def _offsets(n: int, h: int) -> dict[int, tuple[int, int, int]]:
     return out
 
 
-def _weight_index(n: int, nbits: int, k: int, offset: int, flip: int) -> np.ndarray:
-    """Table (nbits, k)'s ``sbit`` as indices into ``_weights``, built once.
-
-    The table's bits are code bits ``offset..offset+nbits-1``, and term i
-    takes -w when i + ``flip`` is odd: ``flip`` is the parity of the
-    occupied bits below the table's own (a top bit's k low bits).  On a
-    one-block level the index is ``sbit`` itself.
-    """
-    sbit = _table(nbits, k)[0]
-    if (nbits, offset, flip) == (n, 0, 0):
-        return sbit
-    index = _INDEX.get((n, nbits, k, offset, flip))
-    if index is None:
-        index = offset + sbit % nbits + n * ((sbit // nbits) ^ flip)
-        _INDEX[(n, nbits, k, offset, flip)] = index
-    return index
-
-
-def _weights(wbits, fermionic: bool):
-    """What a weight index reads: ``wbits``, then their negations (fermionic)
-    or ``wbits`` again (bosonic), so index p + n is bit p's odd-term weight."""
-    return np.concatenate((wbits, -wbits if fermionic else wbits))
+def _weights(w, fermionic: bool):
+    """What a table's ``sbit`` reads: its bits' weights ``w``, then their
+    negations (fermionic) or ``w`` again (bosonic), so index p + len(w) is
+    bit p's odd-term weight."""
+    return np.concatenate((w, -w if fermionic else w))
 
 
 def _pull(x, o, index, pos, w, take: bool, fresh: bool) -> None:
@@ -211,14 +188,21 @@ def _pull(x, o, index, pos, w, take: bool, fresh: bool) -> None:
 
 def _raise(src, amps, wbits, fermionic, size: int):
     n, h = wbits.shape[0], int(src[0]).bit_count()
-    w = _weights(wbits, fermionic)
+    b = bits.low_bits(n)
+    weights = [_weights(wbits[:b], fermionic)]
+    if b < n:  # a split level's top bits, under an even and an odd low-bit count
+        top = _weights(wbits[b:], fermionic)
+        weights += [top, -top if fermionic else top]
     out = np.empty(size, dtype=amps.dtype)  # every destination has a fresh chunk
-    for (s0, s1, shape), (d0, d1, into), transposed, take, chunks in _plan(n, h):
+    for (s0, s1, shape), (d0, d1, into), transposed, w, chunks in _plan(n, h):
         a, o = amps[s0:s1].reshape(shape), out[d0:d1].reshape(into)
+        # a contiguous source view (a one-row block's columns are) lets
+        # ``ndarray.take`` gather from it without copying it whole
+        take = not transposed or shape[0] == 1
         if transposed:
             a, o = a.T, o.T
         for lo, hi, index, pos, fresh in chunks:
-            _pull(a, o[lo:hi], index, pos, w, take, fresh)
+            _pull(a, o[lo:hi], index, pos, weights[w], take, fresh)
     return out
 
 

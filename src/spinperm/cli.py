@@ -356,6 +356,8 @@ def bench(min_n, max_n, repeats, seed, output):
         raise click.UsageError(f"need 1 <= min-n <= max-n <= {BENCH_MAX_N}")
     if repeats < 1:
         raise click.UsageError(f"need --repeats >= 1, got {repeats}")
+    if seed < 0:
+        raise click.UsageError(f"need --seed >= 0, got {seed}")
     _emit(output, rows_to_csv(bench_suite(min_n, max_n, repeats=repeats, seed=seed)))
 
 

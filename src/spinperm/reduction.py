@@ -26,11 +26,12 @@ GAUSSIAN_ENTRY_TOL = 1e-10
 GAUSSIAN_PRODUCT_TOL = 1e-9
 
 
-def kernel_basis(operator: np.ndarray) -> list[np.ndarray]:
-    """Null-space basis, each vector led by a 1 at its first nonzero coordinate.
+def kernel_basis(operator: np.ndarray) -> np.ndarray:
+    """Null-space basis, one row per vector, each led by a 1 at its first
+    nonzero coordinate.
 
-    Vectors are mutually reduced at the leads and returned in ascending
-    leading-coordinate order; a full-rank operator yields an empty list.
+    Rows are mutually reduced at the leads and come in ascending
+    leading-coordinate order; a full-rank d x d operator yields shape (0, d).
     """
     operator = np.asarray(operator, dtype=np.complex128)
     if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
@@ -45,7 +46,7 @@ class ReductionState:
     round: int
     operator: np.ndarray
     basis: list[BasisState]
-    kernel_vectors: list[np.ndarray] = field(default_factory=list)
+    kernel_vectors: np.ndarray | None = None
     B: np.ndarray | None = None
     A: np.ndarray | None = None
     removed: list[BasisState] = field(default_factory=list)
@@ -106,73 +107,45 @@ def initial_state(op: SpinOperator) -> ReductionState:
     return ReductionState(round=0, operator=dense_operator(op), basis=basis)
 
 
-def _fill_stats(old: np.ndarray, new: np.ndarray, keep: list[int]) -> tuple[int, int, int]:
+def _fill_stats(old: np.ndarray, new: np.ndarray, keep: np.ndarray) -> tuple[int, int, int]:
     """Classify the nonzeros of the reduced operator against the old one."""
-    old_kept = old[np.ix_(keep, keep)]
-    eps_old = rref.zero_threshold(old)
-    reweighted = unchanged = fresh = 0
-    for t, s in zip(*rref.support(new)):
-        new_val = new[t, s]
-        old_val = old_kept[t, s]
-        if abs(old_val) <= eps_old:
-            fresh += 1
-        elif abs(new_val - old_val) <= UNCHANGED_REL_TOL * max(abs(new_val), abs(old_val)):
-            unchanged += 1
-        else:
-            reweighted += 1
-    return reweighted, unchanged, fresh
+    nz = rref.support(new)
+    new_val, old_val = new[nz], old[np.ix_(keep, keep)][nz]
+    fresh = np.abs(old_val) <= rref.zero_threshold(old)
+    unchanged = ~fresh & (np.abs(new_val - old_val)
+                          <= UNCHANGED_REL_TOL * np.maximum(np.abs(new_val), np.abs(old_val)))
+    return int(np.sum(~fresh & ~unchanged)), int(np.sum(unchanged)), int(np.sum(fresh))
 
 
 def factor_round(state: ReductionState) -> ReductionState:
     """One B/A factorization round; a full-rank input passes through unchanged."""
-    op = state.operator
-    d = op.shape[0]
+    op, d, rnd = state.operator, state.operator.shape[0], state.round + 1
     vectors = kernel_basis(op)
-    if not vectors:
-        return ReductionState(
-            round=state.round + 1, operator=op.copy(), basis=list(state.basis)
-        )
-    leads = []
-    for v in vectors:
-        lead = rref.leading_index(v)
-        floor = rref.RANK_REL_TOL * max(float(np.max(np.abs(v))), 1.0)
-        if lead is None or abs(v[lead]) < floor:
-            raise ZeroPivotError(
-                f"round {state.round + 1}: kernel vector without a usable "
-                f"leading coordinate"
-            )
-        leads.append(lead)
-    if len(set(leads)) != len(leads):
-        raise ZeroPivotError(
-            f"round {state.round + 1}: degenerate kernel leads {sorted(leads)}"
-        )
-    keep = [i for i in range(d) if i not in set(leads)]
-    b_full = np.eye(d, dtype=np.complex128)
-    for v, lead in zip(vectors, leads):
-        b_full[:, lead] -= v
-    b = b_full[keep, :]
-    a = op[:, keep]
+    if not len(vectors):
+        return ReductionState(round=rnd, operator=op.copy(), basis=list(state.basis),
+                              kernel_vectors=vectors)
+    leads = rref.leading_index(vectors)
+    mag = np.abs(vectors)
+    floor = rref.RANK_REL_TOL * np.maximum(mag.max(axis=1), 1.0)
+    if np.any((leads < 0) | (mag[np.arange(len(leads)), leads] < floor)):
+        raise ZeroPivotError(f"round {rnd}: kernel vector without a usable leading coordinate")
+    if len(set(leads.tolist())) != len(leads):
+        raise ZeroPivotError(f"round {rnd}: degenerate kernel leads {sorted(leads.tolist())}")
+    keep = np.delete(np.arange(d), leads)
+    b = np.eye(d, dtype=np.complex128)
+    b[:, leads] -= vectors.T
+    b, a = b[keep], op[:, keep]
     scale = max(float(np.max(np.abs(op))), 1.0)
     if float(np.max(np.abs(a @ b - op))) > FACTOR_REL_TOL * scale * d:
-        raise ConsistencyError(
-            f"round {state.round + 1}: A @ B does not reconstruct the operator"
-        )
-    for v in vectors:
-        if float(np.linalg.norm(b @ v)) > FACTOR_REL_TOL * float(np.linalg.norm(v)) * d:
-            raise ZeroPivotError(
-                f"round {state.round + 1}: B fails to annihilate a kernel vector"
-            )
+        raise ConsistencyError(f"round {rnd}: A @ B does not reconstruct the operator")
+    if np.any(np.linalg.norm(vectors @ b.T, axis=1)
+              > FACTOR_REL_TOL * np.linalg.norm(vectors, axis=1) * d):
+        raise ZeroPivotError(f"round {rnd}: B fails to annihilate a kernel vector")
     new_op = b @ a
     return ReductionState(
-        round=state.round + 1,
-        operator=new_op,
-        basis=[state.basis[i] for i in keep],
-        kernel_vectors=vectors,
-        B=b,
-        A=a,
-        removed=[state.basis[i] for i in leads],
-        fill_stats=_fill_stats(op, new_op, keep),
-    )
+        round=rnd, operator=new_op, basis=[state.basis[i] for i in keep],
+        kernel_vectors=vectors, B=b, A=a, removed=[state.basis[i] for i in leads],
+        fill_stats=_fill_stats(op, new_op, keep))
 
 
 def _validate_final(op: SpinOperator, final: np.ndarray, basis: list[BasisState]):

@@ -59,42 +59,42 @@ def nullity(a: np.ndarray) -> int:
     return a.shape[1] - matrix_rank(a)
 
 
-def nullspace(a: np.ndarray) -> list[np.ndarray]:
-    """A kernel basis, one vector per free column, in ascending column order.
+def nullspace(a: np.ndarray) -> np.ndarray:
+    """A kernel basis, one row per free column, in ascending column order.
 
-    The vector of free column f is exactly 1 at f and exactly 0 at every
-    other free column; at pivot columns right of f it holds only rounding
-    residue below the zero threshold.
+    The row of free column f is exactly 1 at f and exactly 0 at every other
+    free column; at pivot columns right of f it holds only rounding residue
+    below the zero threshold.  A full-rank ``a`` gives shape (0, ncols).
     """
     r, pivots = rref(a)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    vectors = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.complex128)
-        v[f] = 1.0
-        for row, p in enumerate(pivots):
-            v[p] = -r[row, f]
-        vectors.append(v)
-    return vectors
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    basis = np.eye(a.shape[1], dtype=np.complex128)[free]
+    basis[:, pivots] = -r[:len(pivots), free].T
+    return basis
 
 
-def kernel_leading_basis(a: np.ndarray) -> list[np.ndarray]:
+def kernel_leading_basis(a: np.ndarray) -> np.ndarray:
     """Kernel basis in the leading-coordinate canonical form, by one elimination.
 
-    Each vector is exactly 1 at its lead, its first coordinate above the
-    zero threshold, and exactly 0 at the leads of the others; the vectors
-    come in ascending lead order.  That form depends only on the kernel.
+    Each row is exactly 1 at its lead, its first coordinate above the zero
+    threshold, and exactly 0 at the leads of the others; the rows come in
+    ascending lead order.  That form depends only on the kernel.
     Eliminating the columns right to left gives it directly: the free
-    column of each ``nullspace`` vector of the column-reversed matrix is
-    its last coordinate above the threshold, which is the first once the
-    vector is read back in the original order.  So there is no second pass
-    that re-reduces a trailing-form basis to this form, vector by vector.
+    column of each ``nullspace`` row of the column-reversed matrix is its
+    last coordinate above the threshold, which is the first once the row
+    is read back in the original order.
     """
-    return [v[::-1] for v in reversed(nullspace(a[:, ::-1]))]
+    return nullspace(a[:, ::-1])[::-1, ::-1]
 
 
-def leading_index(v: np.ndarray) -> int | None:
-    """Index of the first entry of ``v`` above ``zero_threshold(v)``."""
-    nz = np.flatnonzero(np.abs(v) > zero_threshold(v))
-    return int(nz[0]) if nz.size else None
+def leading_index(v: np.ndarray) -> int | None | np.ndarray:
+    """Index of the first entry of ``v`` above ``zero_threshold(v)``, or None.
+
+    Given rows, each row's index by its own threshold, and -1 for a row
+    without one.  (An all-zero row has no entry above any threshold, so
+    ``RANK_REL_TOL`` times its largest magnitude serves for it too.)
+    """
+    mag = np.abs(v)
+    above = mag > RANK_REL_TOL * mag.max(axis=-1, keepdims=True)
+    lead = np.where(above.any(axis=-1), above.argmax(axis=-1), -1)
+    return lead if v.ndim > 1 else (int(lead) if lead >= 0 else None)

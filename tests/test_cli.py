@@ -298,6 +298,11 @@ def test_bench_needs_a_repeat(runner, repeats):
     assert input_error(result) == f"need --repeats >= 1, got {repeats}"
 
 
+def test_bench_needs_a_non_negative_seed(runner):
+    result = runner.invoke(main, ["bench", "--min-n", "2", "--max-n", "3", "--seed", "-1"])
+    assert input_error(result) == "need --seed >= 0, got -1"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["det", "spectrum"])
 def test_tol_must_be_finite_and_non_negative(runner, command, value):
@@ -526,6 +531,19 @@ def test_perm_and_det_import_only_what_they_run():
     assert "spinperm.operator" in loaded
     unused = {"spectral", "reduction", "graph", "bench", "selftest", "rref"}
     assert not unused & {m.removeprefix("spinperm.") for m in loaded}
+
+
+def test_verification_commands_leave_numpy_masked_arrays_unloaded():
+    # np.unique and numpy's set routines import numpy.ma, about 1.6 MB resident
+    loaded = _fresh_python(
+        "import sys\n"
+        "from spinperm.cli import main\n"
+        "for cmd in ('spectrum', 'reduce', 'graph'):\n"
+        "    main([cmd, '--gen', 'n=5,seed=1'], standalone_mode=False)\n"
+        "main(['graph', '--gen', 'n=5,seed=1', '--round', '2'], standalone_mode=False)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    ).splitlines()[-1]
+    assert loaded == "False"
 
 
 def test_star_import_exports_every_public_name():

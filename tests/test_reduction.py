@@ -11,9 +11,10 @@ from spinperm import (
     permanent_ryser,
     random_matrix,
 )
-from spinperm import rref
+from spinperm import BasisState, ConsistencyError, ZeroPivotError, reduction, rref
 from spinperm.operator import dense_operator
 from spinperm.reduction import (
+    ReductionState,
     factor_round,
     fermionic_matches_gaussian,
     initial_state,
@@ -71,7 +72,7 @@ def test_kernel_basis_uniform_weight_ratios():
 
 
 def test_kernel_basis_full_rank_empty():
-    assert kernel_basis(np.eye(5, dtype=np.complex128)) == []
+    assert kernel_basis(np.eye(5, dtype=np.complex128)).shape == (0, 5)
 
 
 def test_factor_round_fermionic_n3(m3):
@@ -328,3 +329,72 @@ def test_one_elimination_per_kernel_basis(monkeypatch, statistics):
     calls.clear()
     reduce_fully(op)
     assert len(calls) == n - 1
+
+
+# the 3x3 zero operator and the shift e0 -> e1 -> e2, whose kernel is e2
+ZERO3 = np.zeros((3, 3))
+SHIFT3 = np.eye(3, k=-1)
+
+
+def _three_state_round(operator, round=0):
+    basis = [BasisState(code, 2) for code in range(3)]
+    return ReductionState(round=round, operator=operator.astype(np.complex128), basis=basis)
+
+
+@pytest.mark.parametrize("operator, rows, error, message", [
+    (ZERO3, [[0, 0, 0]], ZeroPivotError,
+     "round 1: kernel vector without a usable leading coordinate"),
+    # above the row's own zero threshold, below the absolute floor
+    (ZERO3, [[1, 0, 0], [0, 1e-12, 0]], ZeroPivotError,
+     "round 1: kernel vector without a usable leading coordinate"),
+    (ZERO3, [[1, 0, 0], [1, 1, 0]], ZeroPivotError, "round 1: degenerate kernel leads [0, 0]"),
+    # zero lead columns, so A @ B reconstructs and only the annihilation check fires
+    (ZERO3, [[1, 1, 2], [0, 1, 3]], ZeroPivotError,
+     "round 1: B fails to annihilate a kernel vector"),
+    (SHIFT3, [[1, 0, 0]], ConsistencyError, "round 1: A @ B does not reconstruct the operator"),
+], ids=["zero-row", "tiny-lead", "repeated-lead", "not-annihilated", "not-in-kernel"])
+def test_factor_round_refuses_a_bad_kernel_basis(monkeypatch, operator, rows, error, message):
+    basis = np.array(rows, dtype=np.complex128)
+    monkeypatch.setattr(reduction, "kernel_basis", lambda op: basis)
+    with pytest.raises(error) as info:
+        factor_round(_three_state_round(operator))
+    assert str(info.value) == message
+
+
+def test_factor_round_passes_a_full_rank_operator_through():
+    state = _three_state_round(np.diag([1.0, 2.0, 3.0]), round=2)
+    out = factor_round(state)
+    assert out.round == 3
+    assert np.array_equal(out.operator, state.operator) and out.operator is not state.operator
+    assert out.basis == state.basis and out.basis is not state.basis
+    assert len(out.kernel_vectors) == 0
+    assert (out.B, out.A, out.removed, out.fill_stats) == (None, None, [], (0, 0, 0))
+
+
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_round_matches_the_per_vector_loop(statistics):
+    # the per-vector loop each round's array form replaces, as the reference
+    state = initial_state(SpinOperator(random_matrix(5, 2), "breve", statistics))
+    for _ in range(4):
+        old, state = state, factor_round(state)
+        op, d = old.operator, old.operator.shape[0]
+        leads = [rref.leading_index(v) for v in state.kernel_vectors]
+        assert texts_of(state.removed) == [old.basis[lead].text for lead in leads]
+        keep = [i for i in range(d) if i not in leads]
+        b = np.eye(d, dtype=np.complex128)
+        for v, lead in zip(state.kernel_vectors, leads):
+            b[:, lead] -= v
+        assert np.array_equal(state.B, b[keep, :]) and np.array_equal(state.A, op[:, keep])
+        stats = [0, 0, 0]
+        old_kept = op[np.ix_(keep, keep)]
+        for t, s in zip(*rref.support(state.operator)):
+            new_val, old_val = state.operator[t, s], old_kept[t, s]
+            if abs(old_val) <= rref.zero_threshold(op):
+                stats[2] += 1
+            elif (abs(new_val - old_val)
+                  <= reduction.UNCHANGED_REL_TOL * max(abs(new_val), abs(old_val))):
+                stats[1] += 1
+            else:
+                stats[0] += 1
+        assert state.fill_stats == tuple(stats)
+    assert sum(state.fill_stats) == 5  # the final cycle
