@@ -25,6 +25,11 @@ blocks in ascending j.  Ascending code order sorts by the top bits first,
 so one block (b = n) is ascending order.  Raising a bit then maps whole
 columns (low bit) or whole rows (top bit), by tables over b or t bits:
 each destination column or row pulls from its predecessors (``_kernels``).
+
+Codes are int32 (``_LEVEL_DTYPE``), so a code holds at most 31 bits:
+``level_codes`` and ``block_codes`` raise ``RangeError`` above that rather
+than wrap.  The sweep's size guard stops at n <= 28, so every level it
+holds fits, at 4 bytes a state beside its amplitude's 16.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ import math
 
 import numpy as np
 
-_LEVEL_DTYPE = np.int64
+from .errors import RangeError
+
+_LEVEL_DTYPE = np.int32
+_CODE_BITS = np.iinfo(_LEVEL_DTYPE).bits - 1  # codes are non-negative
 
 # Largest n swept as one block (b = n); above it b = n // 2.  Warm, one
 # block sweeps faster up to n = 15 on a 2-core x86-64 host (perm + det: 3.3
@@ -54,6 +62,11 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _check_code_bits(n: int) -> None:
+    if n > _CODE_BITS:
+        raise RangeError(f"level codes hold at most {_CODE_BITS} bits, not n={n}")
+
+
 def level_codes(n: int, h: int) -> np.ndarray:
     """All weight-h codes on n bits, ascending.
 
@@ -63,6 +76,7 @@ def level_codes(n: int, h: int) -> np.ndarray:
     second, so the concatenation stays sorted.  Only the weights that can
     still reach h with the n-m bits left are kept.
     """
+    _check_code_bits(n)
     if h < 0 or h > n:
         return np.empty(0, dtype=_LEVEL_DTYPE)
     empty = np.empty(0, dtype=_LEVEL_DTYPE)
@@ -121,6 +135,7 @@ def _level_blocks(n: int, h: int, b: int) -> tuple[tuple[int, int, int], ...]:
 
 def block_codes(n: int, h: int) -> np.ndarray:
     """All weight-h codes on n bits in block order (see the module docstring)."""
+    _check_code_bits(n)
     b = low_bits(n)
     if b == n:
         return shared_level_codes(n, h)

@@ -146,7 +146,8 @@ class LevelVector:
     ``amplitudes`` is a numpy array in block order (``bits.block_codes``),
     which is ascending code order for n <= ``bits.BLOCK_CUTOVER_N``:
     complex128 on the float backend, objects holding ExactComplex on the
-    exact one.  ``codes`` holds those states' codes once they are built; a
+    exact one.  ``codes`` holds those states' int32 codes once they are
+    built, so a float state costs 16 bytes of amplitude and 4 of code; a
     sweep hands each step's destination codes to the vector it returns, so
     every level is enumerated once.  Left ``None``, they are built on first
     use.  Vectors up to the cutover share their read-only codes with every
@@ -191,11 +192,16 @@ def _level_codes(v: LevelVector) -> np.ndarray:
     return v.codes
 
 
+# bytes a middle-level state costs while two levels are live at once: an
+# amplitude (complex128) and a code (bits._LEVEL_DTYPE) in each, 2 * (16 + 4)
+_STATE_BYTES = 2 * (np.dtype(np.complex128).itemsize + np.dtype(bits._LEVEL_DTYPE).itemsize)
+
+
 def _check_sweep_size(n: int) -> None:
-    # two amplitude arrays (complex128) and two code arrays (int64) of the
-    # middle level are live at once, plus the raise's fixed scratch: one
-    # chunk's gather and its sum, each at most _PULL_ELEMENTS complex128
-    need = 48 * bits.binom(n, n // 2) + 2 * 16 * _kernels._PULL_ELEMENTS
+    # the two middle levels plus the raise's fixed scratch: one chunk's
+    # gather and its sum, each at most _PULL_ELEMENTS complex128.  The limit
+    # lets n <= 28 through, so every code fits bits' 31 bits.
+    need = _STATE_BYTES * bits.binom(n, n // 2) + 2 * 16 * _kernels._PULL_ELEMENTS
     if need > SWEEP_MAX_BYTES:
         # Decimal, not float: from n = 1054 on, need / 2**30 overflows a double
         raise SizeGuardError(

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rref
-from .errors import ConsistencyError, SizeGuardError, ZeroPivotError
+from .errors import ConsistencyError, SizeGuardError, ZeroPermanentError, ZeroPivotError
 from .matrix import SquareMatrix, format_complex
-from .operator import BasisState, SpinOperator, dense_operator
+from .operator import BasisState, SpinOperator, dense_operator, evaluate
 from .oracles import determinant_gauss, lower_triangular_reduce
 
 REDUCE_MAX_N = 10
@@ -168,10 +168,17 @@ def _validate_final(op: SpinOperator, final: np.ndarray, basis: list[BasisState]
 
 
 def reduce_fully(op: SpinOperator) -> ReductionTrace:
-    """Run n-1 factorization rounds down to the n-state cycle."""
+    """Run n-1 factorization rounds down to the n-state cycle.
+
+    The cycle's entry product is the value, so a zero value has no cycle to
+    reach: it raises ``ZeroPermanentError`` before the first round.
+    """
     if op.variant != "breve":
         raise ValueError("row reduction is defined for the breve variant")
     state = initial_state(op)
+    if complex(evaluate(op)[0]) == 0:
+        name = "permanent" if op.statistics == "bosonic" else "determinant"
+        raise ZeroPermanentError(f"row reduction assumes a nonzero {name}")
     initial = state
     rounds = []
     for _ in range(op.n - 1):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinperm import BasisState, bits
+from spinperm import BasisState, RangeError, bits
 
 
 def test_mask_text_roundtrip():
@@ -36,8 +36,21 @@ def test_level_codes_match_brute_force(n):
         by_weight[c.bit_count()].append(c)
     for h, expected in by_weight.items():
         codes = bits.level_codes(n, h)
-        assert codes.dtype == np.int64
+        assert codes.dtype == np.int32
         assert codes.tolist() == expected
+
+
+def test_level_codes_hold_31_bits_and_refuse_more():
+    # int32 codes: a 31-bit level is exact, a wider one raises, never wraps
+    full = (1 << 31) - 1
+    assert bits.level_codes(31, 1).tolist() == [1 << p for p in range(31)]
+    below_full = sorted(full ^ (1 << p) for p in range(31))
+    assert bits.level_codes(31, 30).tolist() == below_full
+    assert sorted(bits.block_codes(31, 30).tolist()) == below_full
+    for codes in (bits.level_codes, bits.block_codes):
+        for n in (32, 40):
+            with pytest.raises(RangeError, match=f"at most 31 bits, not n={n}"):
+                codes(n, 1)
 
 
 def test_parity_below():

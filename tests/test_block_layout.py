@@ -28,7 +28,7 @@ def test_block_codes_permute_level_codes(n):
     low = (1 << b) - 1
     for h in range(-1, n + 2):
         codes, ascending = bits.block_codes(n, h), bits.level_codes(n, h)
-        assert codes.dtype == np.int64
+        assert codes.dtype == np.int32
         assert np.array_equal(np.sort(codes), ascending)
         if n <= CUT:
             assert np.array_equal(codes, ascending)
@@ -151,7 +151,7 @@ def test_pull_chunks_gather_a_fixed_tile(n):
 
 @pytest.mark.parametrize("n", [18, 20])
 def test_sweep_peak_is_two_levels_and_a_fixed_scratch(n):
-    # live at once: amplitudes (16 bytes a state) and codes (8) of two
+    # live at once: amplitudes (16 bytes a state) and int32 codes (4) of two
     # levels, one chunk's gather and its sum, and one numpy ufunc buffer
     op = SpinOperator(random_matrix(n, 1), "breve", "bosonic")
     evaluate(op)  # tables, plans and shared codes are built once per process
@@ -161,7 +161,7 @@ def test_sweep_peak_is_two_levels_and_a_fixed_scratch(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    levels = max(24 * (bits.binom(n, h) + bits.binom(n, h + 1)) for h in range(n))
+    levels = max(20 * (bits.binom(n, h) + bits.binom(n, h + 1)) for h in range(n))
     assert peak <= levels + 2 * 16 * _kernels._PULL_ELEMENTS + 16 * np.getbufsize()
 
 
@@ -187,13 +187,13 @@ def test_kernel_boundary_sees_every_level_and_edge(monkeypatch):
         edges = 0
         for src, dst in seen:
             h = int(src[0]).bit_count()
-            assert src.dtype == np.int64 and len(src) == bits.binom(n, h)
+            assert src.dtype == np.int32 and len(src) == bits.binom(n, h)
             assert np.all(np.bitwise_count(src) == h)
             if dst is None:
                 assert h == n - 1
                 edges += len(src)
             else:
-                assert dst.dtype == np.int64 and len(dst) == bits.binom(n, h + 1)
+                assert dst.dtype == np.int32 and len(dst) == bits.binom(n, h + 1)
                 assert np.all(np.bitwise_count(dst) == h + 1)
                 edges += len(src) * (n - h)
         assert [int(src[0]).bit_count() for src, _ in seen] == list(range(n))
@@ -217,10 +217,27 @@ def test_size_guard_precedes_allocation(monkeypatch):
 
 
 def test_size_guard_limit():
-    # 48 bytes per middle-level state: n=28 fits the limit, n=29 does not
+    # 40 bytes per middle-level state: n=28 fits the limit, n=29 does not
     operator._check_sweep_size(28)
     with pytest.raises(SizeGuardError):
         operator._check_sweep_size(29)
+
+
+def test_size_guard_counts_the_itemsizes_a_sweep_holds():
+    # two live levels of the arrays a raise really returns, and a check
+    # that itself allocates none of them
+    op = SpinOperator(random_matrix(4, 1), "breve", "bosonic")
+    v = operator.apply_level(op, operator.LevelVector.vacuum(4))
+    assert operator._STATE_BYTES == 2 * (v.amplitudes.itemsize + v.codes.itemsize) == 40
+    tracemalloc.start()
+    try:
+        operator._check_sweep_size(28)
+        with pytest.raises(SizeGuardError):
+            operator._check_sweep_size(29)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 @pytest.mark.parametrize("command", ["perm", "det"])

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,14 @@ from spinperm import (
     permanent_ryser,
     random_matrix,
 )
-from spinperm import BasisState, ConsistencyError, ZeroPivotError, reduction, rref
+from spinperm import (
+    BasisState,
+    ConsistencyError,
+    ZeroPermanentError,
+    ZeroPivotError,
+    reduction,
+    rref,
+)
 from spinperm.operator import dense_operator
 from spinperm.reduction import (
     ReductionState,
@@ -398,3 +408,33 @@ def test_round_matches_the_per_vector_loop(statistics):
                 stats[0] += 1
         assert state.fill_stats == tuple(stats)
     assert sum(state.fill_stats) == 5  # the final cycle
+
+
+def _permanent_and_determinant(rows):
+    """Brute force over permutations, in integers."""
+    perm = det = 0
+    for sigma in itertools.permutations(range(len(rows))):
+        term = math.prod(rows[i][sigma[i]] for i in range(len(rows)))
+        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+        perm += term
+        det += -term if inversions & 1 else term
+    return perm, det
+
+
+def test_zero_value_stops_before_the_first_round():
+    # all 512 3x3 0/1 inputs: a zero value raises, and every other reduces
+    zeros = {"bosonic": 0, "fermionic": 0}
+    for bits9 in range(512):
+        rows = [[(bits9 >> (3 * r + c)) & 1 for c in range(3)] for r in range(3)]
+        values = dict(zip(("bosonic", "fermionic"), _permanent_and_determinant(rows)))
+        for statistics, value in values.items():
+            op = SpinOperator(SquareMatrix.from_array(rows), "breve", statistics)
+            if value:
+                assert reduce_fully(op).final_product == pytest.approx(value, rel=1e-9)
+                continue
+            zeros[statistics] += 1
+            name = "permanent" if statistics == "bosonic" else "determinant"
+            with pytest.raises(ZeroPermanentError,
+                               match=f"row reduction assumes a nonzero {name}"):
+                reduce_fully(op)
+    assert zeros == {"bosonic": 265, "fermionic": 338}
