@@ -331,7 +331,7 @@ def graph(input_path, gen_spec, variant, statistics, output, format, round_,
         raise click.UsageError(f"--round must be in [0, {matrix.n - 1}] for n={matrix.n}, "
                                f"got {round_}")
     op = SpinOperator(matrix, variant, statistics)
-    if round_ is None:
+    if not round_:  # round 0 is the unreduced operator: no reduction to run
         g = graph_from_operator(op)
     else:
         g = graph_from_reduction(reduce_fully(op), round_)

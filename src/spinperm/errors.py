@@ -14,7 +14,8 @@ class SizeGuardError(SpinpermError):
 
 
 class ZeroPivotError(SpinpermError):
-    """A fixed-order reduction step would divide by a vanishing weight."""
+    """A reduction round would divide by a vanishing weight: a fixed-order
+    elimination pivot, or kernel leads ``factor_round`` cannot split off."""
 
     def __init__(self, message, entry=None):
         super().__init__(message)
@@ -30,11 +31,12 @@ class LevelMismatchError(SpinpermError):
 
 
 class RangeError(SpinpermError):
-    """Operator power outside the supported range."""
+    """An index outside its supported range: a level code above 31 bits, a
+    graph round or a Jordan-Wigner site."""
 
 
 class ZeroPermanentError(SpinpermError):
-    """Spectral construction requires a nonzero permanent/determinant."""
+    """Spectral construction or row reduction met a zero permanent/determinant."""
 
 
 class SpectralMismatchError(SpinpermError):

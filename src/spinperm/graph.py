@@ -14,7 +14,7 @@ from . import bits, rref
 from .errors import RangeError, SizeGuardError, ZeroPivotError
 from .matrix import format_complex
 from .operator import SpinOperator
-from .reduction import UNCHANGED_REL_TOL, ReductionTrace, elimination_weights_n3
+from .reduction import UNCHANGED_REL_TOL, ReductionTrace, elimination_entries
 
 GRAPH_MAX_N = 12
 PATHSUM_MAX_N = 7
@@ -158,42 +158,34 @@ def path_sum(graph: AbpGraph) -> complex:
 
 
 def _symbolic_candidates(op: SpinOperator) -> list[tuple[str, complex]]:
-    """Closed-form reduced weights that have stable names at n=3.
+    """Named reduced weights at n=3.
 
-    Beyond n=3 the reduced entries are ad hoc and fall back to numeric
+    Fermionic names are the elimination entries each round reweights;
+    bosonic ones are closed forms.  Beyond n=3 the graph keeps numeric
     labels.
     """
     if op.n != 3:
         return []
-    w = op.matrix.to_array()
-    out = []
     if op.fermionic:
         # a zero pivot in the elimination keeps numeric labels
         try:
-            changed = elimination_weights_n3(op.matrix)
+            return [(name, value) for *_, name, value, changed
+                    in elimination_entries(op.matrix) if changed]
         except ZeroPivotError:
             return []
-        out.extend((name, complex(value)) for name, value in changed.items())
-    else:
-        # the closed forms divide by w[2,2] and w'_{1,1}; without them the
-        # graph keeps numeric labels
-        if w[2, 2] == 0:
-            return []
-        w10p = w[1, 0] + w[1, 2] * w[2, 0] / w[2, 2]
-        w11p = w[1, 1] + w[1, 2] * w[2, 1] / w[2, 2]
-        if w11p == 0:
-            return []
-        x = (w[1, 0] * w[2, 1] + w[1, 1] * w[2, 0]) / w[2, 2]
-        w00p = w[0, 0] + (w[0, 1] * w10p + w[0, 2] * x) / w11p
-        out.extend(
-            [
-                ("w'_{1,0}", complex(w10p)),
-                ("w'_{1,1}", complex(w11p)),
-                ("x", complex(x)),
-                ("w'_{0,0}", complex(w00p)),
-            ]
-        )
-    return out
+    # the closed forms divide by w[2,2] and w'_{1,1}; without them the graph
+    # keeps numeric labels
+    w = op.matrix.to_array()
+    if w[2, 2] == 0:
+        return []
+    w10p = w[1, 0] + w[1, 2] * w[2, 0] / w[2, 2]
+    w11p = w[1, 1] + w[1, 2] * w[2, 1] / w[2, 2]
+    if w11p == 0:
+        return []
+    x = (w[1, 0] * w[2, 1] + w[1, 1] * w[2, 0]) / w[2, 2]
+    w00p = w[0, 0] + (w[0, 1] * w10p + w[0, 2] * x) / w11p
+    return [("w'_{1,0}", complex(w10p)), ("w'_{1,1}", complex(w11p)),
+            ("x", complex(x)), ("w'_{0,0}", complex(w00p))]
 
 
 def _reduced_display(value: complex, original: complex | None, original_label: str | None,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rref
+from . import bits, rref
 from .errors import ConsistencyError, SizeGuardError, ZeroPermanentError, ZeroPivotError
 from .matrix import SquareMatrix, format_complex
 from .operator import BasisState, SpinOperator, dense_operator, evaluate
@@ -210,36 +210,44 @@ class GaussianComparison:
         return self.ok
 
 
-def _entry(state: ReductionState, target: str, source: str) -> complex:
-    """Operator entry by state labels; a removed state contributes zero."""
-    lookup = {s.text: i for i, s in enumerate(state.basis)}
-    if target not in lookup or source not in lookup:
-        return 0j
-    return complex(state.operator[lookup[target], lookup[source]])
+def elimination_entries(matrix: SquareMatrix):
+    """The leading m x m block (m = n-r) after each round r of fixed-order elimination.
 
-
-# the named entries of n=3 fixed-order elimination: (round, row, column) -> name
-ELIMINATION_NAMES_N3 = {(0, 0, 0): "w'_{0,0}", (0, 0, 1): "w'_{0,1}", (0, 1, 0): "w'_{1,0}",
-                        (0, 1, 1): "w'_{1,1}", (1, 0, 0): "w''_{0,0}"}
-
-
-def elimination_weights_n3(matrix: SquareMatrix) -> dict[str, complex]:
-    """The named entries that the rounds of n=3 elimination reweight.
-
-    An entry a round leaves untouched is absent.  Raises ZeroPivotError
-    where the elimination divides by zero.
+    Yields ``(r, h, s, name, value, changed)`` for r = 1..n-1 and h, s < m in
+    row-major order: ``name`` is ``w`` with r primes and ``_{h,s}``, ``value``
+    the entry after round r of ``oracles.lower_triangular_reduce`` (an entry
+    the round leaves untouched keeps its prior value), and ``changed`` whether
+    round r reweighted it.  Raises ZeroPivotError where the elimination
+    divides by zero.
     """
+    e = matrix.to_array()
     _, rounds = lower_triangular_reduce(matrix.to_float())
-    return {name: rounds[k][(r, c)] for (k, r, c), name in ELIMINATION_NAMES_N3.items()
-            if (r, c) in rounds[k]}
+    for r, changed in enumerate(rounds, start=1):
+        for (i, c), value in changed.items():
+            e[i, c] = value
+        m = matrix.n - r
+        for h, s in np.ndindex(m, m):
+            name = "w" + "'" * r + f"_{{{h},{s}}}"
+            yield r, h, s, name, complex(e[h, s]), (h, s) in changed
+
+
+def _site_raises(m: int, h: int, site: int):
+    """``(source, target, odd)`` of each m-site fermionic edge raising ``site`` from level h."""
+    codes = bits.level_codes(m, h)
+    _, pos, raised, odd = list(bits.raise_edges(codes, m, True))[m - 1 - site]
+    return zip(codes[pos].tolist(), raised.tolist(), odd.tolist())
 
 
 def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
     """Check that fermionic kernel reduction reproduces Gaussian elimination.
 
-    At n=3 the five reweighted entries of the reduction rounds are compared
-    against the fixed-order elimination weights; for other n only the final
-    products are compared.
+    Round r's operator should be the fermionic operator of the eliminated
+    matrix's leading m x m block (m = n-r), codes shifted left by r bits.  So
+    each entry ``w^(r)_{h,s}`` of ``elimination_entries`` is compared with
+    every edge of round r that raises site s from level h of that m-site
+    operator, its Jordan-Wigner sign undone; an edge whose state the kernel
+    removed reads 0, and the comparison keeps the edge of largest error.  The
+    final product is compared with the determinant.
     """
     op = SpinOperator(matrix.to_float(), "breve", "fermionic")
     trace = reduce_fully(op)
@@ -252,31 +260,19 @@ def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
         determinant=det,
         final_rel_err=float(final_err),
     )
-    if matrix.n != 3:
-        return report
-    w = matrix.to_array()
-    changed = elimination_weights_n3(matrix)
-    # entries an elimination round leaves untouched keep their prior value
-    w00p = changed.get("w'_{0,0}", w[0, 0])
-    round1, round2 = trace.rounds[0], trace.rounds[1]
-    checks = [
-        ("w'_{0,0}", _entry(round1, "100", "000"), w00p),
-        ("w'_{0,1}", _entry(round1, "010", "000"), changed.get("w'_{0,1}", w[0, 1])),
-        ("w'_{1,0}", -_entry(round1, "110", "010"), changed.get("w'_{1,0}", w[1, 0])),
-        ("w'_{1,1}", _entry(round1, "110", "100"), changed.get("w'_{1,1}", w[1, 1])),
-        ("w''_{0,0}", _entry(round2, "100", "000"), changed.get("w''_{0,0}", w00p)),
-    ]
-    for name, reduced, eliminated in checks:
-        rel = abs(reduced - eliminated) / max(abs(reduced), abs(eliminated), 1e-300)
-        entry_ok = bool(rel <= GAUSSIAN_ENTRY_TOL)
-        report.comparisons.append(
-            {
-                "name": name,
-                "reduction": complex(reduced),
-                "elimination": complex(eliminated),
-                "rel_err": float(rel),
-                "ok": entry_ok,
-            }
-        )
+    index = [{b.code: i for i, b in enumerate(st.basis)} for st in trace.rounds]
+    for r, h, s, name, eliminated, _ in elimination_entries(matrix):
+        state, lookup = trace.rounds[r - 1], index[r - 1]
+        values = []
+        for source, target, odd in _site_raises(matrix.n - r, h, s):
+            t, u = lookup.get(target << r), lookup.get(source << r)
+            value = 0j if t is None or u is None else complex(state.operator[t, u])
+            values.append(-value if odd else value)
+        rels = [abs(v - eliminated) / max(abs(v), abs(eliminated), 1e-300) for v in values]
+        worst = int(np.argmax(rels))  # a nan counts as the largest
+        entry_ok = bool(rels[worst] <= GAUSSIAN_ENTRY_TOL)
+        report.comparisons.append({"name": name, "reduction": values[worst],
+                                   "elimination": eliminated, "rel_err": float(rels[worst]),
+                                   "ok": entry_ok})
         report.ok = bool(report.ok and entry_ok)
     return report

@@ -148,17 +148,15 @@ def criterion_5() -> None:
 
 
 def criterion_6() -> None:
-    """Fermionic kernel removal reproduces Gaussian elimination."""
+    """Fermionic kernel removal reproduces Gaussian elimination, entry by entry."""
     start = time.perf_counter()
-    for seed in range(6):
-        report = fermionic_matches_gaussian(random_matrix(3, seed, "complex_gaussian"))
-        _require(report.ok and all(c["rel_err"] <= 1e-10 for c in report.comparisons),
-                 f"n=3 entry comparison, seed={seed}")
     for n in range(3, 9):
-        m = random_matrix(n, n, "complex_gaussian")
-        trace = reduce_fully(SpinOperator(m, "breve", "fermionic"))
-        _require(_rel(trace.final_product, determinant_gauss(m)) <= 1e-9,
-                 f"final product at n={n}")
+        report = fermionic_matches_gaussian(random_matrix(n, n, "complex_gaussian"))
+        entries = (n - 1) * n * (2 * n - 1) // 6  # the m x m blocks, m = n-1..1
+        _require(len(report.comparisons) == entries
+                 and all(c["rel_err"] <= 1e-10 for c in report.comparisons),
+                 f"entry comparison at n={n}")
+        _require(report.final_rel_err <= 1e-9, f"final product at n={n}")
     _within(start, 30.0)
 
 

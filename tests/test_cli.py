@@ -209,6 +209,17 @@ def test_graph_round_out_of_range_is_input_error(runner, round_):
     assert "[0, 2]" in err["message"]
 
 
+@pytest.mark.parametrize("spec", ["n=2,kind=zero_one,seed=3", "n=11,seed=0"],
+                         ids=["zero_value", "above_reduce_max_n"])
+def test_graph_round_0_draws_the_unreduced_operator(runner, spec):
+    # round 0 runs no reduction, so neither a zero value nor the reduction's
+    # size guard stops it
+    plain = invoke(runner, ["graph", "--gen", spec])
+    drawn = invoke(runner, ["graph", "--gen", spec, "--round", "0"])
+    assert drawn.exit_code == plain.exit_code == 0
+    assert drawn.stdout == plain.stdout
+
+
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
 def test_graph_rounds_in_range_draw_the_reduction(runner, statistics):
     op = SpinOperator(random_matrix(3, 1), "breve", statistics)

@@ -264,10 +264,66 @@ def test_fermionic_matches_gaussian_zero_pivot():
 
 
 def test_fermionic_matches_gaussian_general_n():
+    # the leading 4x4, 3x3, 2x2 and 1x1 blocks after rounds 1..4
     rep = fermionic_matches_gaussian(random_matrix(5, 8, "complex_gaussian"))
     assert rep.ok
-    assert rep.comparisons == []
+    assert len(rep.comparisons) == 16 + 9 + 4 + 1
+    assert all(c["ok"] for c in rep.comparisons)
+    assert rep.comparisons[16]["name"] == "w''_{0,0}"
+    assert rep.comparisons[-1]["name"] == "w''''_{0,0}"
     assert rep.final_rel_err < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fermionic_matches_gaussian_at_every_n(n):
+    # every entry of the leading (n-r)x(n-r) block after each round r
+    for kind, seed in itertools.product(["complex_gaussian", "real_uniform"], range(3)):
+        rep = fermionic_matches_gaussian(random_matrix(n, seed, kind))
+        assert rep.ok
+        assert len(rep.comparisons) == (n - 1) * n * (2 * n - 1) // 6
+
+
+N3_ENTRY_NAMES = ["w'_{0,0}", "w'_{0,1}", "w'_{1,0}", "w'_{1,1}", "w''_{0,0}"]
+
+
+def test_fermionic_matches_gaussian_on_every_3x3_zero_one_input():
+    # the verdicts of the n=3 check, degenerate inputs included: where the
+    # kernel picks other leads than elimination, an entry reads 0 and fails
+    outcomes = []
+    for code in range(512):
+        entries = np.array([code >> k & 1 for k in range(9)], dtype=float).reshape(3, 3)
+        try:
+            rep = fermionic_matches_gaussian(SquareMatrix.from_array(entries))
+        except (ZeroPivotError, ZeroPermanentError) as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        assert [c["name"] for c in rep.comparisons] == N3_ENTRY_NAMES
+        outcomes.append("ok" if rep.ok else "not ok")
+    assert {k: outcomes.count(k) for k in set(outcomes)} == {
+        "ok": 38, "not ok": 12, "ZeroPivotError": 124, "ZeroPermanentError": 338}
+
+
+def test_fermionic_matches_gaussian_sees_a_corrupted_round(monkeypatch):
+    # scale the edge 00000 -> 10000 of round 2 (w''_{0,0}), not the final product
+    matrix = random_matrix(5, 8, "complex_gaussian")
+    trace = reduce_fully(SpinOperator(matrix, "breve", "fermionic"))
+    codes = [s.code for s in trace.rounds[1].basis]
+    trace.rounds[1].operator[codes.index(0b10000), codes.index(0)] *= 1 + 1e-6
+    monkeypatch.setattr(reduction, "reduce_fully", lambda op: trace)
+    rep = fermionic_matches_gaussian(matrix)
+    assert not rep.ok
+    assert [c["name"] for c in rep.comparisons if not c["ok"]] == ["w''_{0,0}"]
+    assert rep.final_rel_err < 1e-9
+
+
+def test_fermionic_matches_gaussian_zero_pivot_n4():
+    # the kernel reduction runs, but elimination round 1 divides by w[1,3] = 0
+    arr = random_matrix(4, 0, "complex_gaussian").entries.copy()
+    arr[1, 3] = 0.0
+    matrix = SquareMatrix.from_array(arr)
+    reduce_fully(SpinOperator(matrix, "breve", "fermionic"))
+    with pytest.raises(ZeroPivotError):
+        fermionic_matches_gaussian(matrix)
 
 
 def elimination_round(matrix, r):
