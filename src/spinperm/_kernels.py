@@ -14,9 +14,9 @@ Raising low bit p maps columns within block j; raising top bit q maps rows
 of block j into block j+1.  Either raise is a pull: each destination (a
 column or row code of weight k+1) sums its k+1 predecessors, and term i
 clears the destination's i-th lowest set bit.  The tables ``(sbit, pos)``
-for those terms are built once per (bits, weight) from
-``bits.raise_edges`` on b or t bits, so the raising rule keeps its one
-definition and no raise searches for or scatters into its targets.  The
+for those terms are built once per (bits, weight) by sorting the edge
+table of ``bits.raise_edges`` on b or t bits, so the raising rule keeps its
+one definition and no raise searches for or scatters into its targets.  The
 pulls of each level, with their block offsets, chunks and weight vectors,
 are planned once per layout (``_plan``), so a step does no layout
 arithmetic; a one-block level is a plan with one pull.
@@ -89,23 +89,18 @@ def kernel_name() -> str:
 def _table(nbits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Pull table from weight k to k+1 on ``nbits`` bits, built once.
 
-    The edges of ``bits.raise_edges`` out of the weight-k codes, sorted by
-    destination code and then by raised bit: every weight-(k+1) code is
-    the destination of exactly k+1 edges, so the sorted edges reshape into
-    k+1 terms per destination, ascending in both.
+    The edge table of ``bits.raise_edges`` out of the weight-k codes,
+    sorted by destination code and then by raised bit: every weight-(k+1)
+    code is the destination of exactly k+1 edges, so the sorted edges
+    reshape into k+1 terms per destination, ascending in both.
     """
     table = _TABLES.get((nbits, k))
     if table is None:
-        edges = list(bits.raise_edges(bits.shared_level_codes(nbits, k), nbits, True))
-        raised = np.concatenate([raised for _, _, raised, _ in edges])
+        bit, pos, raised, odd = bits.raise_edges(bits.shared_level_codes(nbits, k), nbits)
         order = np.argsort(raised, kind="stable")  # p ascends within a destination
-        bit = np.repeat(np.arange(nbits), [len(pos) for _, pos, _, _ in edges])
-        pos = np.concatenate([pos for _, pos, _, _ in edges])
-        odd = np.concatenate([odd for _, _, _, odd in edges])
         # (destination, term)
-        bit, pos, odd = (a[order].reshape(-1, k + 1) for a in (bit, pos, odd))
-        bit += nbits * odd
-        table = _TABLES[(nbits, k)] = (np.ascontiguousarray(bit.T), np.ascontiguousarray(pos.T))
+        sbit, pos = (a[order].reshape(-1, k + 1) for a in (bit + nbits * odd, pos))
+        table = _TABLES[(nbits, k)] = (np.ascontiguousarray(sbit.T), np.ascontiguousarray(pos.T))
     return table
 
 

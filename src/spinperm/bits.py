@@ -2,11 +2,11 @@
 
 An occupation string is held as one integer, its ``code``: the rendered
 label (site 0 leftmost) read as a binary number, i.e. site ``s`` occupies
-bit ``n-1-s``.  Text labels are made only at the edges (``BasisState.text``).
-Basis enumerations are sorted by ascending ``code``, which makes dense
-matrices line up with labels sorted as binary numbers (``000 < 001 < 010 <
-...``).  The sweep, on both backends, holds a level in *block order*
-(``block_codes``), which is ascending order for n <= ``BLOCK_CUTOVER_N``.
+bit ``n-1-s``; its label is ``format(code, f"0{n}b")``.  Basis enumerations
+are sorted by ascending ``code``, which makes dense matrices line up with
+labels sorted as binary numbers (``000 < 001 < 010 < ...``).  The sweep, on
+both backends, holds a level in *block order* (``block_codes``), which is
+ascending order for n <= ``BLOCK_CUTOVER_N``.
 
 ``level_codes`` enumerates one Hamming level with Pascal's rule, one bit at
 a time (Knuth, TAOCP 4A §7.2.1.3): O(n·h) numpy calls per level, no
@@ -14,8 +14,9 @@ recursion.  ``shared_level_codes`` keeps each level on up to 15 bits once
 per process, read-only; the block layout and ``_kernels``' pull tables read
 their codes from it, so a sweep of n <= 15 costs no enumeration after the
 first.  ``raise_edges`` is the one definition of the operator's raising
-rule: an edge raises bit p of its source, and its Jordan-Wigner sign is
-odd when an odd number of set bits lie below p.
+rule, one flat edge table that every reader indexes: an edge raises an
+empty bit p of its source, and its Jordan-Wigner sign is odd when an odd
+number of set bits lie below p (``parity_below``, for one code).
 
 Block layout: the n code bits split into b = ``low_bits(n)`` low bits and
 t = n - b top bits.  Level h is one block per top weight j, of shape
@@ -154,20 +155,18 @@ def parity_below(code: int, bit: int) -> int:
     return (code & (bit - 1)).bit_count() & 1
 
 
-def raise_edges(codes: np.ndarray, n: int, fermionic: bool):
-    """Every edge out of ``codes`` (ascending), grouped by raised code bit.
+def raise_edges(codes: np.ndarray, n: int):
+    """Every edge out of ``codes`` on n bits, as flat arrays ``(bit, pos, raised, odd)``.
 
-    Yields ``(p, pos, raised, odd)`` for p = 0..n-1: the positions in
-    ``codes`` of the codes with bit p empty, their raised codes
-    ``code | 1 << p`` (ascending), and the Jordan-Wigner odd mask
-    ``parity_below(code, 1 << p) == 1`` (``None`` when bosonic).  Bit p holds
-    site n-1-p, so the edge weight from level h is ``w[h, n-1-p]``.
+    Ordered by raised bit p, then by ascending position: edge e raises bit
+    p = ``bit[e]`` of ``codes[pos[e]]`` into ``raised[e]`` (``codes``'
+    dtype), and ``odd[e]`` is its Jordan-Wigner mask ``parity_below(code,
+    1 << p) == 1``.  Bit p holds site n-1-p, so the weight from level h is
+    ``w[h, n-1-p]``, negated where ``odd`` for fermions.
     """
-    odd_all = np.zeros(codes.shape[0], dtype=bool)
-    for p in range(n):
-        bit = 1 << p
-        empty = (codes & bit) == 0
-        pos = empty.nonzero()[0]
-        yield p, pos, codes[pos] | bit, odd_all[pos] if fermionic else None
-        if fermionic:
-            np.equal(odd_all, empty, out=odd_all)  # odd ^= (bit p is set)
+    values = 1 << np.arange(n, dtype=codes.dtype)
+    occupied = (codes & values[:, None]) != 0  # (bit, position)
+    bit, pos = np.nonzero(~occupied)
+    # where bit p is empty, the running parity through p is the parity below p
+    odd = np.logical_xor.accumulate(occupied, axis=0)[bit, pos]
+    return bit, pos, codes[pos] | values[bit], odd

@@ -73,15 +73,26 @@ def _quiet_overflow():
 
 
 def _parse_gen(spec: str) -> dict:
-    out = {"seed": 0, "kind": "complex_gaussian"}
+    """``--gen``'s ``key=value`` pairs; a fault names its key."""
+    out, given = {"seed": 0, "kind": "complex_gaussian"}, set()
     for part in spec.split(","):
         if not part.strip():
             continue
         if "=" not in part:
             raise ParseError(f"generator spec needs key=value pairs, got {part!r}")
         key, value = (s.strip() for s in part.split("=", 1))
+        if key in given:
+            raise ParseError(f"generator key {key!r} given twice")
+        given.add(key)
         if key in ("n", "seed"):
-            out[key] = int(value)
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise ParseError(f"generator key {key!r} needs an integer, "
+                                 f"got {value!r}") from None
+            least = 1 if key == "n" else 0
+            if out[key] < least:
+                raise ParseError(f"generator key {key!r} needs >= {least}, got {out[key]}")
         elif key == "kind":
             if value not in GENERATOR_KINDS:
                 raise ParseError(f"unknown generator kind {value!r}")
@@ -130,6 +141,13 @@ def _write(text: str) -> None:
     # itself, so every redirected stdout would stay alive with its output
     sys.stdout.write(text)
     sys.stdout.flush()
+
+
+def _render(payload: dict, format: str) -> str:
+    """A result as one JSON object, or one ``key = value`` line per key."""
+    if format == "json":
+        return json.dumps(payload) + "\n"
+    return "".join(f"{k} = {v}\n" for k, v in payload.items())
 
 
 def _emit(output: str | None, text: str) -> None:
@@ -197,20 +215,12 @@ def perm(input_path, gen_spec, backend, variant, output, format):
     with _quiet_overflow():
         value, count = evaluate(SpinOperator(matrix, variant, "bosonic"))
     _require_finite("permanent", value)
-    if format == "json":
-        _emit(output, json.dumps({
-            "permanent": format_complex(value),
-            "multiplications": count.multiplications,
-            "additions": count.additions,
-            "total_ops": count.total,
-        }) + "\n")
-    else:
-        _emit(output, (
-            f"permanent = {format_complex(value)}\n"
-            f"multiplications = {count.multiplications}\n"
-            f"additions = {count.additions}\n"
-            f"total_ops = {count.total}\n"
-        ))
+    _emit(output, _render({
+        "permanent": format_complex(value),
+        "multiplications": count.multiplications,
+        "additions": count.additions,
+        "total_ops": count.total,
+    }, format))
 
 
 @main.command()
@@ -231,16 +241,12 @@ def det(input_path, gen_spec, backend, variant, tol, output, format):
     _require_finite("determinant", value, reference)
     diff = abs(complex(value) - complex(reference))
     rel = diff / max(abs(complex(value)), abs(complex(reference)), 1e-300)
-    payload = {
+    _emit(output, _render({
         "determinant": format_complex(value),
         "elimination_check": format_complex(reference),
         "relative_difference": rel,
         "total_ops": count.total,
-    }
-    if format == "json":
-        _emit(output, json.dumps(payload) + "\n")
-    else:
-        _emit(output, "".join(f"{k} = {v}\n" for k, v in payload.items()))
+    }, format))
     # float elimination leaves a rounding residue where the value is 0, which
     # reads rel 1.0 against the sweep's exact 0: a difference within that
     # residue's scale agrees too, whatever --tol

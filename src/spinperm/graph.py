@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import bits, rref
 from .errors import RangeError, SizeGuardError, ZeroPivotError
 from .matrix import format_complex
@@ -83,11 +85,6 @@ def _node_id(code: int) -> str:
     return f"v{code}"
 
 
-def _weight_label(h: int, site: int, sign: int) -> str:
-    base = f"w_{{{h},{site}}}"
-    return f"-{base}" if sign < 0 else base
-
-
 def _sort_and_check(nodes, edges) -> None:
     nodes.sort(key=lambda nd: (nd.level, nd.id))
     level_of = {nd.id: nd.level for nd in nodes}
@@ -97,29 +94,34 @@ def _sort_and_check(nodes, edges) -> None:
             raise ValueError("edge does not step one level down")
 
 
+def _operator_edges(op: SpinOperator) -> list[AbpEdge]:
+    """Every edge of the operator, from the edge table over all its states.
+
+    Breve edges into the full state go to the sink, tilde adds its weight-1
+    return; a weight is ±1 times w, whose zeros' signs can differ from ±w's.
+    """
+    n, full, breve = op.n, (1 << op.n) - 1, op.variant == "breve"
+    bit, src, raised, odd = bits.raise_edges(np.arange(op.dimension), n)
+    level, site = np.bitwise_count(src), n - 1 - bit
+    sign = np.where(odd & op.fermionic, -1, 1)
+    weight = sign * op.matrix.to_array()[level, site]
+    edges = [AbpEdge(_node_id(s), SINK_ID if breve and t == full else _node_id(t), wt,
+                     f"{'-' if sg < 0 else ''}w_{{{h},{p}}}")
+             for s, t, wt, h, p, sg in zip(src.tolist(), raised.tolist(), weight.tolist(),
+                                           level.tolist(), site.tolist(), sign.tolist())]
+    if not breve:
+        edges.append(AbpEdge(_node_id(full), SINK_ID, 1.0 + 0.0j, "1"))
+    return edges
+
+
 def graph_from_operator(op: SpinOperator) -> AbpGraph:
     """One node per basis state plus the duplicated empty-state sink."""
     n = op.n
     if n > GRAPH_MAX_N:
         raise SizeGuardError(f"graph construction limited to n <= {GRAPH_MAX_N}")
-    nodes = [AbpNode(SINK_ID, "0" * n, op.period)]
-    edges = []
-    w = op.matrix.to_array()
-    for h in range(op.period):
-        codes = bits.level_codes(n, h)
-        ids = [_node_id(c) for c in codes.tolist()]
-        nodes.extend(AbpNode(i, format(c, f"0{n}b"), h) for i, c in zip(ids, codes.tolist()))
-        if h == n:
-            edges.append(AbpEdge(ids[0], SINK_ID, 1.0 + 0.0j, "1"))
-            continue
-        for p, pos, raised, odd in bits.raise_edges(codes, n, op.fermionic):
-            site = n - 1 - p
-            negate = odd.tolist() if op.fermionic else [False] * len(pos)
-            for i, target_code, neg in zip(pos.tolist(), raised.tolist(), negate):
-                sign = -1 if neg else 1
-                target = SINK_ID if h == n - 1 and op.variant == "breve" else _node_id(target_code)
-                edges.append(AbpEdge(ids[i], target, complex(sign * w[h, site]),
-                                     _weight_label(h, site, sign)))
+    nodes = [AbpNode(SINK_ID, "0" * n, op.period)] + [
+        AbpNode(_node_id(c), format(c, f"0{n}b"), c.bit_count()) for c in range(op.dimension)]
+    edges = _operator_edges(op)
     _sort_and_check(nodes, edges)
     return AbpGraph(n=n, nodes=nodes, edges=edges, source_id=_node_id(0))
 
@@ -188,12 +190,12 @@ def _symbolic_candidates(op: SpinOperator) -> list[tuple[str, complex]]:
             ("x", complex(x)), ("w'_{0,0}", complex(w00p))]
 
 
-def _reduced_display(value: complex, original: complex | None, original_label: str | None,
+def _reduced_display(value: complex, original: AbpEdge | None,
                      candidates: list[tuple[str, complex]]) -> str:
-    if original is not None and abs(value - original) <= UNCHANGED_REL_TOL * max(
-        abs(value), abs(original)
+    if original is not None and abs(value - original.weight) <= UNCHANGED_REL_TOL * max(
+        abs(value), abs(original.weight)
     ):
-        return original_label
+        return original.display
     for name, cand in candidates:
         if cand != 0 and abs(value - cand) <= _LABEL_MATCH_RTOL * abs(cand):
             return name
@@ -212,26 +214,17 @@ def graph_from_reduction(trace: ReductionTrace, round: int) -> AbpGraph:
     n = op.n
     state = trace.rounds[round - 1]
     basis = state.basis
-    original = graph_from_operator(op)
-    orig_edges = {(e.source, e.target): e for e in original.edges}
+    orig_edges = {(e.source, e.target): e for e in _operator_edges(op)}
     candidates = _symbolic_candidates(op)
-    zero_label = "0" * n
-    nodes = [AbpNode(SINK_ID, zero_label, n)]
-    for s in basis:
-        nodes.append(AbpNode(_node_id(s.code), s.text, s.level))
+    nodes = [AbpNode(SINK_ID, "0" * n, n)]
+    nodes.extend(AbpNode(_node_id(s.code), s.text, s.level) for s in basis)
     edges = []
     for t, s in zip(*rref.support(state.operator)):
         src, dst = basis[s], basis[t]
         src_id = _node_id(src.code)
         dst_id = SINK_ID if dst.level == 0 and src.level == n - 1 else _node_id(dst.code)
         value = complex(state.operator[t, s])
-        orig = orig_edges.get((src_id, dst_id))
-        display = _reduced_display(
-            value,
-            orig.weight if orig else None,
-            orig.display if orig else None,
-            candidates,
-        )
+        display = _reduced_display(value, orig_edges.get((src_id, dst_id)), candidates)
         edges.append(AbpEdge(src_id, dst_id, value, display))
     _sort_and_check(nodes, edges)
     return AbpGraph(n=n, nodes=nodes, edges=edges, source_id=_node_id(0))

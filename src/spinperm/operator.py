@@ -7,11 +7,12 @@ times against the all-empty state yields the permanent (bosonic) or the
 determinant (fermionic) at a counted cost of exactly ``n * 2**n`` fused
 multiply-adds.
 
-Every edge here comes from ``bits.raise_edges``: the sweep's pull tables
-(``_kernels``), ``dense_operator`` and ``jw_sign``.  The float and exact
-backends run the same sweep; only the dtype of the amplitudes differs.  The
-closing step is the raise into level n, whose single code is ``2**n - 1``;
-its one amplitude is the value.
+Every edge here comes from the edge table of ``bits.raise_edges``, which the
+sweep's pull tables (``_kernels``) sort and ``dense_operator`` scatters;
+``jw_sign`` is its sign rule for one state, ``bits.parity_below``.  The
+float and exact backends run the same sweep; only the dtype of the
+amplitudes differs.  The closing step is the raise into level n, whose
+single code is ``2**n - 1``; its one amplitude is the value.
 """
 
 from __future__ import annotations
@@ -71,13 +72,12 @@ def jw_sign(state: BasisState, site: int) -> int:
     Counts occupied sites with index greater than ``site`` (to the right in
     the rendered label); odd count flips the sign.
     """
-    edges = bits.raise_edges(np.array([state.code]), state.n, True)
-    for p, pos, _, odd in edges:
-        if p == state.n - 1 - site:
-            if not pos.size:
-                raise OccupiedSiteError(f"site {site} of {state.text} already occupied")
-            return -1 if odd[0] else 1
-    raise RangeError(f"site {site} out of range for n={state.n}")
+    if not 0 <= site < state.n:
+        raise RangeError(f"site {site} out of range for n={state.n}")
+    bit = 1 << (state.n - 1 - site)
+    if state.code & bit:
+        raise OccupiedSiteError(f"site {site} of {state.text} already occupied")
+    return -1 if bits.parity_below(state.code, bit) else 1
 
 
 @dataclass
@@ -296,19 +296,16 @@ def dense_operator(op: SpinOperator) -> np.ndarray:
     n = op.n
     if n > DENSE_MAX_N:
         raise SizeGuardError(f"dense operator limited to n <= {DENSE_MAX_N}")
-    dim = op.dimension
-    full = (1 << n) - 1
+    dim, full = op.dimension, (1 << n) - 1
     dense = np.zeros((dim, dim), dtype=np.complex128)
-    w = op.matrix.to_array()
-    codes = np.arange(dim, dtype=np.int64)  # so a position is its own code
-    levels = np.bitwise_count(codes)
-    for p, src, raised, odd in bits.raise_edges(codes, n, op.fermionic):
-        weights = w[levels[src], n - 1 - p]
-        if op.fermionic:
-            weights = np.where(odd, -weights, weights)
-        if op.variant == "breve":
-            raised[raised == full] = 0
-        dense[raised, src] = weights
+    # over all codes 0..dim-1, so an edge's source position is its code
+    bit, src, raised, odd = bits.raise_edges(np.arange(dim), n)
+    weights = op.matrix.to_array()[np.bitwise_count(src), n - 1 - bit]
+    if op.fermionic:
+        weights = np.where(odd, -weights, weights)
+    if op.variant == "breve":
+        raised[raised == full] = 0
+    dense[raised, src] = weights
     if op.variant == "tilde":
         dense[0, full] = 1.0
     return dense

@@ -234,8 +234,9 @@ def elimination_entries(matrix: SquareMatrix):
 def _site_raises(m: int, h: int, site: int):
     """``(source, target, odd)`` of each m-site fermionic edge raising ``site`` from level h."""
     codes = bits.level_codes(m, h)
-    _, pos, raised, odd = list(bits.raise_edges(codes, m, True))[m - 1 - site]
-    return zip(codes[pos].tolist(), raised.tolist(), odd.tolist())
+    bit, pos, raised, odd = bits.raise_edges(codes, m)
+    at = bit == m - 1 - site
+    return zip(codes[pos[at]].tolist(), raised[at].tolist(), odd[at].tolist())
 
 
 def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:

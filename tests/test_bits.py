@@ -63,20 +63,18 @@ def test_parity_below():
 @pytest.mark.parametrize("fermionic", [False, True])
 def test_raise_edges_matches_scalar_rule(n, fermionic):
     for codes in [bits.level_codes(n, h) for h in range(n + 1)] + [np.arange(1 << n)]:
-        seen = []
-        for p, pos, raised, odd in bits.raise_edges(codes, n, fermionic):
-            bit = 1 << p
-            expected = [i for i, c in enumerate(codes.tolist()) if not c & bit]
-            assert pos.tolist() == expected
-            assert raised.tolist() == [int(codes[i]) | bit for i in expected]
-            if fermionic:
-                assert odd.tolist() == [
-                    bits.parity_below(int(codes[i]), bit) == 1 for i in expected
-                ]
-            else:
-                assert odd is None
-            seen.append(p)
-        assert seen == list(range(n))
+        bit, pos, raised, odd = bits.raise_edges(codes, n)
+        # by raised bit, then by position
+        expected = [(p, i) for p in range(n)
+                    for i, c in enumerate(codes.tolist()) if not c >> p & 1]
+        assert list(zip(bit.tolist(), pos.tolist())) == expected
+        assert raised.dtype == codes.dtype
+        assert raised.tolist() == [int(codes[i]) | 1 << p for p, i in expected]
+        parity = [bits.parity_below(int(codes[i]), 1 << p) for p, i in expected]
+        assert odd.tolist() == [q == 1 for q in parity]
+        # the sign a reader puts on each edge: Jordan-Wigner for fermions only
+        sign = np.where(odd & fermionic, -1, 1)
+        assert sign.tolist() == [(-1) ** q if fermionic else 1 for q in parity]
 
 
 def test_shared_level_codes_are_built_once_and_read_only():

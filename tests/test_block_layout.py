@@ -58,9 +58,9 @@ def test_pull_tables_list_the_raise_edges(nbits):
         assert np.array_equal(parity, term & 1)
         pulled = sorted(zip(np.tile(np.arange(len(dst)), k + 1).tolist(), bit.ravel().tolist(),
                             pos.ravel().tolist(), parity.ravel().astype(bool).tolist()))
-        edges = sorted((int(d), p, int(i), bool(o))
-                       for p, at, raised, odd in bits.raise_edges(src, nbits, True)
-                       for i, d, o in zip(at, np.searchsorted(dst, raised), odd))
+        bit, at, raised, odd = bits.raise_edges(src, nbits)
+        edges = sorted(zip(np.searchsorted(dst, raised).tolist(), bit.tolist(), at.tolist(),
+                           odd.tolist()))
         assert pulled == edges  # every edge exactly once, with raise_edges' odd mask
 
 
@@ -80,11 +80,11 @@ def _scalar_step(src, dst, amps, wbits, fermionic):
     order = np.argsort(src)
     asc_src, asc_amps, asc_dst = src[order], amps[order], np.sort(dst)
     out = np.zeros(len(dst), dtype=np.complex128)
-    for p, pos, raised, odd in bits.raise_edges(asc_src, n, fermionic):
-        vals = wbits[p] * asc_amps[pos]
-        if fermionic:
-            vals = np.where(odd, -vals, vals)
-        out[np.searchsorted(asc_dst, raised)] += vals
+    bit, pos, raised, odd = bits.raise_edges(asc_src, n)
+    vals = wbits[bit] * asc_amps[pos]
+    if fermionic:
+        vals = np.where(odd, -vals, vals)
+    np.add.at(out, np.searchsorted(asc_dst, raised), vals)  # edge by edge, in bit order
     return out[np.searchsorted(asc_dst, dst)]
 
 

@@ -314,6 +314,18 @@ def test_bench_needs_a_non_negative_seed(runner):
     assert input_error(result) == "need --seed >= 0, got -1"
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("n=3,n=4", "generator key 'n' given twice"),
+    ("n=3,seed=1,seed=2", "generator key 'seed' given twice"),
+    ("n=3,seed=-1", "generator key 'seed' needs >= 0, got -1"),
+    ("n=3,seed=x", "generator key 'seed' needs an integer, got 'x'"),
+    ("n=0", "generator key 'n' needs >= 1, got 0"),
+], ids=["repeated_n", "repeated_seed", "negative_seed", "non_integer_seed", "empty_n"])
+def test_gen_faults_name_their_key(runner, spec, message):
+    result = runner.invoke(main, ["perm", "--gen", spec])
+    assert input_error(result) == message
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["det", "spectrum"])
 def test_tol_must_be_finite_and_non_negative(runner, command, value):

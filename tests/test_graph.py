@@ -9,6 +9,7 @@ from spinperm import (
     SizeGuardError,
     SpinOperator,
     SquareMatrix,
+    dense_operator,
     determinant_gauss,
     evaluate,
     random_matrix,
@@ -39,6 +40,26 @@ def test_graph_n1():
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
     assert g.edges[0].display == "w_{0,0}"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("variant", ["breve", "tilde"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("kind", ["complex_gaussian", "zero_one"])
+def test_graph_edges_are_the_dense_operator(n, variant, statistics, kind):
+    # two readers of one edge table, compared edge by edge: the sink is code
+    # 0, so the tilde return edge reads dense[0, full], and a 0/1 input's
+    # zero-weight edges are edges too
+    op = SpinOperator(random_matrix(n, n, kind), variant, statistics)
+    dense, g = dense_operator(op), graph_from_operator(op)
+    code = {nd.id: 0 if nd.id == g.sink_id else int(nd.id[1:]) for nd in g.nodes}
+    seen = np.zeros(dense.shape, dtype=bool)
+    for e in g.edges:
+        t, s = code[e.target], code[e.source]
+        assert e.weight == dense[t, s] and not seen[t, s]
+        seen[t, s] = True
+    assert len(g.edges) == n * 2 ** (n - 1) + (variant == "tilde")
+    assert not np.any(dense[~seen])  # no entry the graph lacks
 
 
 def test_graph_fermionic_negative_labels(m3):
