@@ -20,7 +20,7 @@ from .matrix import (
     parse_matrix,
     random_matrix,
 )
-from .operator import SpinOperator, evaluate
+from .operator import SpinOperator, _check_sweep_size, evaluate
 from .oracles import determinant_gauss, log_rounding_scale
 
 
@@ -112,6 +112,9 @@ def _load_matrix(input_path: str | None, gen_spec: str | None,
         if (input_path is None) == (generator is None):
             raise ParseError("exactly one of --input or --gen is required")
         if generator is not None:
+            # every command's own size limit is within the sweep's: refuse a
+            # size before generating, so that no huge n reaches numpy
+            _check_sweep_size(generator["n"])
             return random_matrix(generator["n"], generator["seed"], generator["kind"],
                                  backend=backend)
         path = Path(input_path)

@@ -186,8 +186,11 @@ def parse_matrix(source: str, format: str = "csv", backend: str = "float") -> Sq
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ParseError("JSON 'rows' must be a list of lists of entries")
         matrix = _rows_to_matrix(rows, backend)
-        if "n" in doc and doc["n"] != matrix.n:
-            raise ParseError(f"declared n={doc['n']} but parsed {matrix.n} rows")
+        declared = doc.get("n", matrix.n)
+        if type(declared) is not int:  # True == 1.0 == 1, and bool is an int
+            raise ParseError(f"declared n must be an integer, got {declared!r}")
+        if declared != matrix.n:
+            raise ParseError(f"declared n={declared} but parsed {matrix.n} rows")
         return matrix
     raise ParseError(f"unknown matrix format {format!r}")
 

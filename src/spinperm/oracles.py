@@ -1,9 +1,16 @@
-"""Independent reference computations: naive permanent, Ryser, elimination."""
+"""Independent reference computations: naive permanent, Ryser, elimination.
+
+Ryser's formula and the naive permutation sum are each one walk that serves
+both backends: complex numbers for floats, ExactComplex for the exact
+backend.  Neither shares code with the level sweep.  The determinant keeps
+one elimination per backend, since their pivot rules differ.
+``lower_triangular_reduce`` returns the matrices E_0..E_{n-1} of fixed-order
+elimination, which the fermionic reduction rounds are checked against.
+"""
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 import numpy as np
 
@@ -21,103 +28,58 @@ RYSER_EXTENDED_MIN_N = 20
 
 
 def permanent_naive(matrix: SquareMatrix):
-    """Sum of all n! permutation products; the ground-truth oracle."""
+    """Sum of all n! permutation products; the ground-truth oracle.
+
+    One walk over a column mask serves both backends.  Zero products are cut
+    and multiplications by one are skipped, which keeps the big-rational
+    arithmetic bounded on sparse integer inputs without changing the sum.
+    """
     n = matrix.n
     if n > NAIVE_MAX_N:
         raise SizeGuardError(f"naive permanent limited to n <= {NAIVE_MAX_N}")
-    if matrix.backend == "exact":
-        return _naive_exact(matrix)
-    a = matrix.entries
-    total = 0j
-    for perm in permutations(range(n)):
-        term = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            term *= a[i, j]
-        total += term
-    return total
+    zero, one = (EXACT_ZERO, EXACT_ONE) if matrix.backend == "exact" else (0j, 1 + 0j)
+    rows = matrix.entries.tolist()
+    skip = [[v == zero for v in row] for row in rows]
+    unit = [[v == one for v in row] for row in rows]
+    total = zero
 
-
-def _naive_exact(matrix: SquareMatrix) -> ExactComplex:
-    """Permutation sum over a column mask, pruning zero and unit factors.
-
-    Zero products are cut analytically and multiplications by exact one are
-    skipped, which keeps the big-rational arithmetic bounded on sparse
-    integer inputs without changing the permutation sum.
-    """
-    n = matrix.n
-    rows = matrix.entries
-    zero = [[rows[i][j].is_zero() for j in range(n)] for i in range(n)]
-    one = [[rows[i][j] == EXACT_ONE for j in range(n)] for i in range(n)]
-    total = EXACT_ZERO
-
-    def descend(i: int, used: int, term: ExactComplex) -> None:
+    def descend(i: int, used: int, term) -> None:
         nonlocal total
         if i == n:
             total = total + term
             return
         for j in range(n):
-            if used >> j & 1 or zero[i][j]:
+            if used >> j & 1 or skip[i][j]:
                 continue
             descend(i + 1, used | (1 << j),
-                    term if one[i][j] else term * rows[i][j])
+                    term if unit[i][j] else term * rows[i][j])
 
-    descend(0, 0, EXACT_ONE)
+    descend(0, 0, one)
     return total
 
 
-def _ryser_exact(matrix: SquareMatrix) -> ExactComplex:
-    n = matrix.n
-    rows = [EXACT_ZERO] * n
-    total = EXACT_ZERO
-    for t in range(1, 1 << n):
-        low = t & -t
-        j = low.bit_length() - 1
-        gray = t ^ (t >> 1)
-        col = [matrix.entries[i][j] for i in range(n)]
-        if gray & low:
-            rows = [rows[i] + col[i] for i in range(n)]
-        else:
-            rows = [rows[i] - col[i] for i in range(n)]
-        prod = EXACT_ONE
-        for i in range(n):
-            prod = prod * rows[i]
-            if prod.is_zero():
-                break
-        if (n - gray.bit_count()) & 1:
-            total = total - prod
-        else:
-            total = total + prod
-    return total
-
-
-def _bit_positions(values: np.ndarray) -> np.ndarray:
-    # values are single-bit integers; frexp is exact on powers of two
-    return np.frexp(values.astype(np.float64))[1].astype(np.int64) - 1
-
-
-def _ryser_np(a, dtype=np.complex128):
+def _ryser_np(a: np.ndarray):
+    """Ryser's sum on ``a``'s dtype: complex128, clongdouble or object (ExactComplex)."""
     n = a.shape[0]
     nsub = (1 << n) - 1
-    a = a.astype(dtype)
+    zero = EXACT_ZERO if a.dtype == object else a.dtype.type(0)
     chunk = 1 << 14
-    total = dtype(0)
+    total = zero
     for start in range(1, nsub + 1, chunk):
         idx = np.arange(start, min(start + chunk, nsub + 1), dtype=np.int64)
         low = idx & -idx
-        pos = _bit_positions(low)
         gray = idx ^ (idx >> 1)
-        flip = np.where((gray & low) != 0, 1.0, -1.0)
-        deltas = a[:, pos].T * flip[:, None]
+        # the column that step t flips is low's bit position, popcount(low - 1)
+        deltas = a[:, np.bitwise_count(low - 1)].T
+        np.negative(deltas, out=deltas, where=((gray & low) == 0)[:, None])
         # row sums rebuilt exactly at chunk starts to cap drift
         g0 = (start - 1) ^ ((start - 1) >> 1)
         cols = [j for j in range(n) if g0 >> j & 1]
-        rows = a[:, cols].sum(axis=1) if cols else np.zeros(n, dtype=dtype)
-        sums = rows[None, :] + np.cumsum(deltas, axis=0)
-        prods = np.prod(sums, axis=1)
-        size = np.bitwise_count(gray.astype(np.uint64)).astype(np.int64)
-        signs = np.where(((n - size) & 1) == 1, -1.0, 1.0).astype(dtype)
-        total = total + np.sum(signs * prods)
-    return complex(total)
+        rows = a[:, cols].sum(axis=1) if cols else np.full(n, zero, dtype=a.dtype)
+        prods = np.prod(rows[None, :] + np.cumsum(deltas, axis=0), axis=1)
+        np.negative(prods, out=prods, where=((n - np.bitwise_count(gray)) & 1) == 1)
+        total = total + np.sum(prods)
+    return total
 
 
 def permanent_ryser(matrix: SquareMatrix):
@@ -126,9 +88,9 @@ def permanent_ryser(matrix: SquareMatrix):
     if n > RYSER_MAX_N:
         raise SizeGuardError(f"Ryser permanent limited to n <= {RYSER_MAX_N}")
     if matrix.backend == "exact":
-        return _ryser_exact(matrix)
+        return _ryser_np(matrix.entries)
     dtype = np.clongdouble if n >= RYSER_EXTENDED_MIN_N else np.complex128
-    return _ryser_np(np.asarray(matrix.entries, dtype=np.complex128), dtype)
+    return complex(_ryser_np(matrix.entries.astype(dtype)))
 
 
 def determinant_gauss(matrix: SquareMatrix):
@@ -200,21 +162,20 @@ def _determinant_exact(matrix: SquareMatrix) -> ExactComplex:
     return det
 
 
-def lower_triangular_reduce(matrix: SquareMatrix):
+def lower_triangular_reduce(matrix: SquareMatrix) -> list[np.ndarray]:
     """Fixed-order sweep to lower-triangular form, one trailing column per round.
 
     Round k clears column n-k above the diagonal by subtracting a multiple of
     the row directly below, all updates taken simultaneously from the
     previous round's matrix.  There is no pivoting freedom: a vanishing
-    divisor raises ZeroPivotError naming the entry.  Takes a float matrix;
-    returns the final matrix and each round's reweighted entries.
+    divisor raises ZeroPivotError naming the entry.  Returns the complex128
+    matrices E_0..E_{n-1}, E_0 the input and E_k the matrix after round k.
     """
     n = matrix.n
-    a = [[complex(v) for v in row] for row in matrix.entries]
-    rounds = []
+    a = matrix.to_array().tolist()
+    rounds = [np.array(a)]
     for k in range(1, n):
         col = n - k
-        changed = {}
         prev = [row[:] for row in a]
         for i in range(col):
             numerator = prev[i][col]
@@ -229,8 +190,5 @@ def lower_triangular_reduce(matrix: SquareMatrix):
             factor = numerator / pivot
             for c in range(col + 1):
                 a[i][c] = prev[i][c] - factor * prev[i + 1][c]
-            for c in range(col + 1):
-                if a[i][c] != prev[i][c]:
-                    changed[(i, c)] = a[i][c]
-        rounds.append(changed)
-    return SquareMatrix.from_array(np.array(a, dtype=np.complex128)), rounds
+        rounds.append(np.array(a))
+    return rounds

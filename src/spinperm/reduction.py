@@ -215,28 +215,17 @@ def elimination_entries(matrix: SquareMatrix):
 
     Yields ``(r, h, s, name, value, changed)`` for r = 1..n-1 and h, s < m in
     row-major order: ``name`` is ``w`` with r primes and ``_{h,s}``, ``value``
-    the entry after round r of ``oracles.lower_triangular_reduce`` (an entry
-    the round leaves untouched keeps its prior value), and ``changed`` whether
-    round r reweighted it.  Raises ZeroPivotError where the elimination
-    divides by zero.
+    the entry of E_r, the matrix after round r of
+    ``oracles.lower_triangular_reduce``, and ``changed`` whether it differs
+    from E_{r-1}'s.  Raises ZeroPivotError where the elimination divides by
+    zero.
     """
-    e = matrix.to_array()
-    _, rounds = lower_triangular_reduce(matrix.to_float())
-    for r, changed in enumerate(rounds, start=1):
-        for (i, c), value in changed.items():
-            e[i, c] = value
-        m = matrix.n - r
-        for h, s in np.ndindex(m, m):
+    rounds = lower_triangular_reduce(matrix.to_float())
+    for r in range(1, matrix.n):
+        e, prev = rounds[r], rounds[r - 1]
+        for h, s in np.ndindex(matrix.n - r, matrix.n - r):
             name = "w" + "'" * r + f"_{{{h},{s}}}"
-            yield r, h, s, name, complex(e[h, s]), (h, s) in changed
-
-
-def _site_raises(m: int, h: int, site: int):
-    """``(source, target, odd)`` of each m-site fermionic edge raising ``site`` from level h."""
-    codes = bits.level_codes(m, h)
-    bit, pos, raised, odd = bits.raise_edges(codes, m)
-    at = bit == m - 1 - site
-    return zip(codes[pos[at]].tolist(), raised[at].tolist(), odd[at].tolist())
+            yield r, h, s, name, complex(e[h, s]), bool(e[h, s] != prev[h, s])
 
 
 def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
@@ -261,14 +250,18 @@ def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
         determinant=det,
         final_rel_err=float(final_err),
     )
-    index = [{b.code: i for i, b in enumerate(st.basis)} for st in trace.rounds]
+    edges = []  # per round: site, source level and signed operator entry of each edge
+    for r, state in enumerate(trace.rounds, start=1):
+        m = matrix.n - r
+        bit, pos, raised, odd = bits.raise_edges(np.arange((1 << m) - 1), m)
+        index = np.full(1 << matrix.n, -1)
+        index[[b.code for b in state.basis]] = np.arange(len(state.basis))
+        t, u = index[raised << r], index[pos << r]
+        value = np.where((t < 0) | (u < 0), 0, state.operator[t, u])
+        edges.append((m - 1 - bit, np.bitwise_count(pos), np.where(odd, -value, value)))
     for r, h, s, name, eliminated, _ in elimination_entries(matrix):
-        state, lookup = trace.rounds[r - 1], index[r - 1]
-        values = []
-        for source, target, odd in _site_raises(matrix.n - r, h, s):
-            t, u = lookup.get(target << r), lookup.get(source << r)
-            value = 0j if t is None or u is None else complex(state.operator[t, u])
-            values.append(-value if odd else value)
+        site, level, value = edges[r - 1]
+        values = value[(site == s) & (level == h)].tolist()
         rels = [abs(v - eliminated) / max(abs(v), abs(eliminated), 1e-300) for v in values]
         worst = int(np.argmax(rels))  # a nan counts as the largest
         entry_ok = bool(rels[worst] <= GAUSSIAN_ENTRY_TOL)

@@ -326,6 +326,30 @@ def test_gen_faults_name_their_key(runner, spec, message):
     assert input_error(result) == message
 
 
+@pytest.fixture
+def no_generator(monkeypatch):
+    """``cli.random_matrix`` replaced by a stand-in that allocates nothing and
+    fails if called."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("random_matrix was called")
+
+    monkeypatch.setattr(cli, "random_matrix", refuse)
+
+
+@pytest.mark.parametrize("command", ["perm", "det", "spectrum", "reduce", "graph"])
+def test_gen_refuses_a_size_before_generating_it(runner, no_generator, command):
+    result = runner.invoke(main, [command, "--gen", "n=100000"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "SizeGuardError"
+
+
+def test_gen_guard_passes_the_largest_sweep(runner, no_generator):
+    # n = 28 is the sweep's own limit, so it reaches the generator
+    result = runner.invoke(main, ["perm", "--gen", "n=28"])
+    assert isinstance(result.exception, MemoryError)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["det", "spectrum"])
 def test_tol_must_be_finite_and_non_negative(runner, command, value):
@@ -410,6 +434,14 @@ def test_json_rows_must_be_a_list_of_lists(runner, tmp_path, command, backend, r
     path.write_text(json.dumps({"rows": rows}))
     result = runner.invoke(main, [command, "--input", str(path), "--backend", backend])
     assert "list of lists" in input_error(result)
+
+
+@pytest.mark.parametrize("declared", ["true", "1.0"])
+def test_json_declared_n_must_be_an_integer(runner, tmp_path, declared):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"n": {declared}, "rows": [[2]]}}')
+    result = runner.invoke(main, ["perm", "--input", str(path)])
+    assert input_error(result).startswith("declared n must be an integer")
 
 
 @pytest.mark.parametrize("command", ["perm", "det"])

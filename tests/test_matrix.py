@@ -68,6 +68,13 @@ def test_json_declared_n_mismatch():
         parse_matrix('{"n": 3, "rows": [[1, 0], [0, 1]]}', "json")
 
 
+@pytest.mark.parametrize("declared", ["true", "1.0"])
+def test_json_declared_n_must_be_an_integer(declared):
+    # True == 1.0 == 1, so either once passed as the 1x1 matrix's n
+    with pytest.raises(ParseError, match="declared n must be an integer, got "):
+        parse_matrix(f'{{"n": {declared}, "rows": [[2]]}}', "json")
+
+
 def test_exact_parse_is_exact():
     m = parse_matrix("0.1,1\n2,3", "csv", backend="exact")
     entry = m.weight(0, 0)

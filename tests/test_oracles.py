@@ -109,31 +109,27 @@ def test_transpose_laws(m3):
 
 
 def test_lower_triangular_round_formulas(m3):
-    w = m3.entries
-    _, rounds = lower_triangular_reduce(m3)
-    assert rel_err(rounds[0][(0, 0)], w[0, 0] - w[0, 2] * w[1, 0] / w[1, 2]) < 1e-12
-    assert rel_err(rounds[0][(0, 1)], w[0, 1] - w[0, 2] * w[1, 1] / w[1, 2]) < 1e-12
-    assert rel_err(rounds[0][(1, 0)], w[1, 0] - w[1, 2] * w[2, 0] / w[2, 2]) < 1e-12
-    assert rel_err(rounds[0][(1, 1)], w[1, 1] - w[1, 2] * w[2, 1] / w[2, 2]) < 1e-12
-    w00p = rounds[0][(0, 0)]
-    w01p = rounds[0][(0, 1)]
-    w10p = rounds[0][(1, 0)]
-    w11p = rounds[0][(1, 1)]
-    assert rel_err(rounds[1][(0, 0)], w00p - w01p * w10p / w11p) < 1e-12
+    w, e1, e2 = lower_triangular_reduce(m3)
+    assert np.array_equal(w, m3.entries)
+    assert rel_err(e1[0, 0], w[0, 0] - w[0, 2] * w[1, 0] / w[1, 2]) < 1e-12
+    assert rel_err(e1[0, 1], w[0, 1] - w[0, 2] * w[1, 1] / w[1, 2]) < 1e-12
+    assert rel_err(e1[1, 0], w[1, 0] - w[1, 2] * w[2, 0] / w[2, 2]) < 1e-12
+    assert rel_err(e1[1, 1], w[1, 1] - w[1, 2] * w[2, 1] / w[2, 2]) < 1e-12
+    assert rel_err(e2[0, 0], e1[0, 0] - e1[0, 1] * e1[1, 0] / e1[1, 1]) < 1e-12
 
 
 def test_lower_triangular_diag_product(m3):
-    reduced, _ = lower_triangular_reduce(m3)
-    diag = np.prod(np.diag(reduced.entries))
+    reduced = lower_triangular_reduce(m3)[-1]
+    diag = np.prod(np.diag(reduced))
     assert rel_err(diag, determinant_gauss(m3)) < 1e-10
-    upper = np.triu(reduced.entries, k=1)
-    assert np.max(np.abs(upper)) < 1e-10 * np.max(np.abs(reduced.entries))
+    upper = np.triu(reduced, k=1)
+    assert np.max(np.abs(upper)) < 1e-10 * np.max(np.abs(reduced))
 
 
 def test_lower_triangular_identity_unchanged(identity3):
-    reduced, rounds = lower_triangular_reduce(identity3)
-    assert np.array_equal(reduced.entries, np.eye(3))
-    assert all(not r for r in rounds)
+    rounds = lower_triangular_reduce(identity3)
+    assert len(rounds) == 3
+    assert all(np.array_equal(e, np.eye(3)) for e in rounds)
 
 
 def test_lower_triangular_zero_pivot():
@@ -146,8 +142,8 @@ def test_lower_triangular_zero_pivot():
 def test_lower_triangular_larger_n():
     for n in (4, 5, 6):
         m = random_matrix(n, n, "complex_gaussian")
-        reduced, _ = lower_triangular_reduce(m)
-        diag = np.prod(np.diag(reduced.entries))
+        reduced = lower_triangular_reduce(m)[-1]
+        diag = np.prod(np.diag(reduced))
         assert rel_err(diag, determinant_gauss(m)) < 1e-10
 
 

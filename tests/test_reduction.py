@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -32,7 +33,7 @@ from spinperm.reduction import (
     reduce_fully,
 )
 from spinperm.selftest import N4_BOSONIC_FILL_ENTRIES, N4_BOSONIC_FILL_STATS
-from spinperm.spectral import build_eigenvector, principal_root
+from spinperm.spectral import build_eigenvector, generalized_kernel_ranks, principal_root
 
 
 def texts_of(states):
@@ -337,10 +338,7 @@ def elimination_round(matrix, r):
     closes onto the empty state.
     """
     n, m = matrix.n, matrix.n - r
-    e = matrix.to_array()
-    for changed in lower_triangular_reduce(matrix)[1][:r]:
-        for (i, c), value in changed.items():
-            e[i, c] = value
+    e = lower_triangular_reduce(matrix)[r]
     ones = [((1 << k) - 1) << (n - k) for k in range(n)] + [0]  # 1^k 0^(n-k); 1^n closes
     codes = [code << r for code in range(1 << m)] + ones[m + 1:n]
     block = dense_operator(SpinOperator(SquareMatrix.from_array(e[:m, :m]), "tilde",
@@ -494,3 +492,56 @@ def test_zero_value_stops_before_the_first_round():
                                match=f"row reduction assumes a nonzero {name}"):
                 reduce_fully(op)
     assert zeros == {"bosonic": 265, "fermionic": 338}
+
+
+def removed_per_level(n, statistics):
+    """The closed form of how many states round r removes at level h, as {(r, h): count}.
+
+    Fermionic round r removes C(n-r, h-1) states at level h, h = 1..n-r.
+    Bosonic round r removes C(n, i) - C(n, i-1) states at level n-r-i+1,
+    i = 1..ceil((n-r)/2).
+    """
+    counts = {}
+    for r in range(1, n):
+        m = n - r
+        if statistics == "fermionic":
+            counts.update({(r, h): math.comb(m, h - 1) for h in range(1, m + 1)})
+        else:
+            counts.update({(r, m - i + 1): math.comb(n, i) - math.comb(n, i - 1)
+                           for i in range(1, (m + 1) // 2 + 1)})
+    return counts
+
+
+def removed_by(trace):
+    return collections.Counter((st.round, s.level) for st in trace.rounds for s in st.removed)
+
+
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("kind", ["complex_gaussian", "real_uniform"])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_dimensions_have_a_closed_form(statistics, kind, n, seed):
+    # generic inputs only: the bosonic counts fail on most 0/1 ones
+    trace = reduce_fully(SpinOperator(random_matrix(n, seed, kind), "breve", statistics))
+    assert removed_by(trace) == removed_per_level(n, statistics)
+
+
+def test_fermionic_kernel_dimensions_on_every_nonsingular_3x3_zero_one_input():
+    # the fermionic counts need only a nonzero determinant
+    nonsingular = 0
+    for bits9 in range(512):
+        rows = [[(bits9 >> (3 * r + c)) & 1 for c in range(3)] for r in range(3)]
+        if _permanent_and_determinant(rows)[1]:
+            op = SpinOperator(SquareMatrix.from_array(rows), "breve", "fermionic")
+            assert removed_by(reduce_fully(op)) == removed_per_level(3, "fermionic")
+            nonsingular += 1
+    assert nonsingular == 174
+
+
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_generalized_kernel_ranks_are_the_round_totals(statistics, n):
+    op = SpinOperator(random_matrix(n, 0, "complex_gaussian"), "breve", statistics)
+    counts = removed_per_level(n, statistics)
+    totals = [sum(c for (r, _), c in counts.items() if r == m) for m in range(1, n)]
+    assert generalized_kernel_ranks(op) == totals
