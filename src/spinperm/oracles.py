@@ -1,9 +1,10 @@
-"""Independent reference computations: naive permanent, Ryser, elimination.
+"""Independent reference computations: naive permanent, Ryser, determinant.
 
 Ryser's formula and the naive permutation sum are each one walk that serves
 both backends: complex numbers for floats, ExactComplex for the exact
-backend.  Neither shares code with the level sweep.  The determinant keeps
-one elimination per backend, since their pivot rules differ.
+backend.  Neither shares code with the level sweep.  The float determinant
+is LAPACK's LU with partial pivoting through ``numpy.linalg``; the exact one
+is Fraction elimination that pivots on the first nonzero entry.
 ``lower_triangular_reduce`` returns the matrices E_0..E_{n-1} of fixed-order
 elimination, which the fermionic reduction rounds are checked against.
 """
@@ -94,26 +95,16 @@ def permanent_ryser(matrix: SquareMatrix):
 
 
 def determinant_gauss(matrix: SquareMatrix):
-    """Elimination with partial pivoting and sign-tracked row swaps.
+    """LU with partial pivoting; exact rational elimination on the exact backend.
 
-    A pivot column with no usable swap candidate means the matrix is
-    singular and the result is exactly zero.
+    The float determinant is one LAPACK ``xGETRF`` through ``numpy.linalg``,
+    returned as a Python complex.  A pivot column with no nonzero candidate,
+    as a zero row or column leaves, gives an exactly zero pivot, and the
+    result is exactly 0.
     """
     if matrix.backend == "exact":
         return _determinant_exact(matrix)
-    n = matrix.n
-    a = matrix.to_array()
-    sign = 1.0
-    for k in range(n):
-        pivot_row = k + int(np.abs(a[k:, k]).argmax())
-        if a[pivot_row, k] == 0:
-            return 0j
-        if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            sign = -sign
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]  # np.outer's products, without its wrapper
-    return complex(sign * np.prod(np.diag(a)))
+    return complex(np.linalg.det(matrix.entries))
 
 
 def log_rounding_scale(matrix: SquareMatrix) -> float:

@@ -77,6 +77,26 @@ def test_det_singular_is_exact_zero():
     assert determinant_gauss(SquareMatrix.from_array(np.ones((2, 2)))) == 0
 
 
+def test_det_is_a_python_complex(m3):
+    assert type(determinant_gauss(m3)) is complex
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_det_is_exactly_zero_with_a_zero_line(n, axis):
+    a = random_matrix(n, n, "complex_gaussian").to_array()
+    a.swapaxes(0, axis)[n // 2] = 0
+    assert determinant_gauss(SquareMatrix.from_array(a)) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("seed", range(5))
+def test_det_is_within_its_rounding_scale_of_the_exact_determinant(n, seed):
+    m = random_matrix(n, seed, "zero_one")
+    exact = complex(determinant_gauss(random_matrix(n, seed, "zero_one", backend="exact")))
+    assert abs(determinant_gauss(m) - exact) <= math.exp(log_rounding_scale(m))
+
+
 def test_det_matches_cofactor_expansion_n3(m3):
     # six-term expansion of the 3x3 determinant, computed independently
     w = m3.entries
