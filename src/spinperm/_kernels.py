@@ -13,13 +13,15 @@ b = ``bits.low_bits(n)`` low bits and t = n - b top bits.
 Raising low bit p maps columns within block j; raising top bit q maps rows
 of block j into block j+1.  Either raise is a pull: each destination (a
 column or row code of weight k+1) sums its k+1 predecessors, and term i
-clears the destination's i-th lowest set bit.  The tables ``(sbit, pos)``
-for those terms are built once per (bits, weight) by sorting the edge
+clears the destination's i-th lowest set bit.  The tables ``(sbit, pos,
+bit)`` for those terms are built once per (bits, weight) by sorting the edge
 table of ``bits.raise_edges`` on b or t bits, so the raising rule keeps its
 one definition and no raise searches for or scatters into its targets.  The
-pulls of each level, with their block offsets, chunks and weight vectors,
-are planned once per layout (``_plan``), so a step does no layout
-arithmetic; a one-block level is a plan with one pull.
+pulls of each level, with their source and destination views, chunks and
+weight vectors, are planned once per layout (``_plan``), so a step does no
+layout arithmetic.  A pull from a one-row block (low bits) or a one-column
+block (top bits) gathers from a flat slice with 2-D tables, so a one-block
+level is one pull of flat views: gather, weight gather, multiply, reduce.
 
 Tiles: no chunk of a pull gathers more than ``_PULL_ELEMENTS`` amplitudes.
 A chunk takes whole terms for all destinations while one term's gather
@@ -29,12 +31,13 @@ sums its terms in term order from the dtype's zero (``_ZERO``).
 
 Jordan-Wigner sign: a table carries each term's odd mask from
 ``bits.raise_edges`` on its own b or t bits, folded into ``sbit``, so a
-pull gathers its weights from its bits' ``[w, -w]`` (``_weights``) and the
-determinant costs what the permanent costs.  A top bit also lies above all
-k = h-j low bits of its block, which its table does not see; when their
-parity is odd the pull reads the top bits' ``[-w, w]`` instead.  The
-closing step is the raise into level n, whose only block is 1x1 and whose
-only code is ``2**n - 1``.
+fermionic pull gathers its weights from its bits' ``[w, -w]``
+(``_weights``) and the determinant costs one concatenation per step more
+than the permanent, which gathers from ``w`` itself by the table's plain
+``bit``.  A top bit also lies above all k = h-j low bits of its block,
+which its table does not see; when their parity is odd the pull reads the
+top bits' ``[-w, w]`` instead.  The closing step is the raise into level
+n, whose only block is 1x1 and whose only code is ``2**n - 1``.
 
 ``apply_level`` and ``apply_closing`` are the two boundaries the sweep
 calls through this module's attributes, so a caller can wrap them to time
@@ -52,15 +55,15 @@ from .exact import EXACT_ZERO
 # perfbench's environment block reads these two names.
 HAVE_NUMBA = False
 
-# (bits, weight k) -> (sbit, pos), each of shape (k+1, C(bits, k+1)): term i
-# of the weight-(k+1) code at column d raises its i-th lowest set bit
-# sbit[i, d] % bits from the weight-k code at position pos[i, d] (both
-# ascending); sbit[i, d] // bits is that edge's odd mask, so ``sbit`` indexes
-# the table's weights followed by their negations (``_weights``).  An
-# entry depends only on its key, so every caller may share it; bits never
-# exceed max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 under the size guard, which
-# bounds the cache at about 8 MB (16 bytes per edge).
-_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+# (bits, weight k) -> (sbit, pos, bit), each of shape (k+1, C(bits, k+1)):
+# term i of the weight-(k+1) code at column d raises its i-th lowest set bit
+# bit[i, d] = sbit[i, d] % bits from the weight-k code at position pos[i, d]
+# (both ascending); sbit[i, d] // bits is that edge's odd mask, so ``sbit``
+# indexes the table's weights followed by their negations (``_weights``).
+# An entry depends only on its key, so every caller may share it; bits
+# never exceed max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 under the size guard,
+# which bounds the cache at about 12 MB (24 bytes per edge).
+_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 # Amplitudes one chunk of a pull gathers at most (256 KB): as many whole
 # terms as fit, or one term over a tile of destinations once a term alone
@@ -71,9 +74,9 @@ _TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 # fastest on a 2-core x86-64 host.
 _PULL_ELEMENTS = 1 << 14
 
-# (n, h, b) -> ``_plan(n, h)``: views into ``_TABLES`` and a few offsets,
-# at most two entries per block, for the n <= 28 the size guard lets a sweep
-# reach.  Keyed by b as well, as ``bits._level_blocks`` is.
+# (n, h, b) -> ``_plan(n, h)``: views into ``_TABLES``, slices and
+# shapes, at most two entries per block, for the n <= 28 the size guard
+# lets a sweep reach.  Keyed by b as well, as ``bits._level_blocks`` is.
 _PLANS: dict[tuple[int, int, int], tuple] = {}
 
 
@@ -86,7 +89,7 @@ def kernel_name() -> str:
     return "numpy"
 
 
-def _table(nbits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _table(nbits: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pull table from weight k to k+1 on ``nbits`` bits, built once.
 
     The edge table of ``bits.raise_edges`` out of the weight-k codes,
@@ -99,24 +102,28 @@ def _table(nbits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         bit, pos, raised, odd = bits.raise_edges(bits.shared_level_codes(nbits, k), nbits)
         order = np.argsort(raised, kind="stable")  # p ascends within a destination
         # (destination, term)
-        sbit, pos = (a[order].reshape(-1, k + 1) for a in (bit + nbits * odd, pos))
-        table = _TABLES[(nbits, k)] = (np.ascontiguousarray(sbit.T), np.ascontiguousarray(pos.T))
+        table = _TABLES[(nbits, k)] = tuple(np.ascontiguousarray(a[order].reshape(-1, k + 1).T)
+                                            for a in (bit + nbits * odd, pos, bit))
     return table
 
 
 def _plan(n: int, h: int) -> tuple:
     """The pulls of one raise from level h, built once per layout.
 
-    One entry per pull, in block order: ``(src, dst, transposed, weights,
-    chunks)``.  ``src`` and ``dst`` are ``(start, stop, shape)`` of a block
-    of level h and of level h+1; ``transposed`` marks a low-bit pull, which
-    maps columns.  ``weights`` names the vector of ``_raise`` the pull
-    reads: 0 for the low bits, 1 or 2 for the top bits under an even or odd
-    count of occupied low bits.  ``chunks`` are ``(lo, hi, index, pos,
-    fresh)``: the terms of destinations lo..hi-1, at most ``_PULL_ELEMENTS``
-    gathered amplitudes, where ``index`` is the table's ``sbit``; ``fresh``
-    marks the first chunk into those destinations of their block.  A
-    one-block level (b = n) is a plan with one entry.
+    One entry per pull, in block order: ``(src, dst, shape, into,
+    transposed, weights, chunks)``.  ``src`` and ``dst`` slice a block out
+    of level h and level h+1.  A pull whose destinations each gather one
+    amplitude per term leaves both flat (``shape`` None); otherwise they
+    are reshaped to ``shape`` and ``into``, and ``transposed`` marks a
+    low-bit pull, which maps columns.  ``weights`` names the vector of
+    ``_raise`` the pull reads: 0 for the low bits, 1 or 2 for the top bits
+    under an even or odd count of occupied low bits.  ``chunks`` are ``(lo,
+    hi, index, pos, fresh)``: the terms of destinations lo..hi-1, at most
+    ``_PULL_ELEMENTS`` gathered amplitudes, where ``index`` is the pair of
+    the table's ``bit`` and ``sbit`` (each with a trailing axis unless
+    flat), which a bosonic and a fermionic pull read, and ``fresh`` marks
+    the first chunk into those destinations of their block.  A one-block
+    level (b = n) is a plan with one flat entry.
     """
     b = bits.low_bits(n)
     plan = _PLANS.get((n, h, b))
@@ -125,30 +132,38 @@ def _plan(n: int, h: int) -> tuple:
         into = _offsets(n, h + 1)
         plan = []
         for i, (j, (start, rows, cols)) in enumerate(_offsets(n, h).items()):
-            src, k = (start, start + rows * cols, (rows, cols)), h - j
+            src, k = (start, rows, cols), h - j
             # block j of level h+1 first receives the top pull from block
             # j-1, so only the first block's low pull is fresh
             if k < b:  # raise a low bit: column map within block j
-                plan.append(_pull_plan(src, into[j], True, i == 0, rows, b, k, 0))
+                plan.append(_pull_plan(src, into[j], True, i == 0, b, k, 0))
             if j < t:  # raise a top bit: row map from block j into block j+1
-                plan.append(_pull_plan(src, into[j + 1], False, True, cols, t, j, 1 + (k & 1)))
+                plan.append(_pull_plan(src, into[j + 1], False, True, t, j, 1 + (k & 1)))
         plan = _PLANS[(n, h, b)] = tuple(plan)
     return plan
 
 
-def _pull_plan(src, dst, transposed, fresh, width, nbits, k, weights):
-    """One pull of ``_plan``, into the ``(start, rows, cols)`` block ``dst``
-    of level h+1; each destination gathers ``width`` amplitudes per term."""
-    start, rows, cols = dst
-    index, pos = _table(nbits, k)
-    index = index[..., None]
+def _pull_plan(src, dst, transposed, fresh, nbits, k, weights):
+    """One pull of ``_plan`` from the ``(start, rows, cols)`` block ``src``
+    into the block ``dst`` of level h+1; each destination gathers ``width``
+    amplitudes per term."""
+    (s0, rows, cols), (d0, drows, dcols) = src, dst
+    width = rows if transposed else cols
+    sbit, pos, bit = _table(nbits, k)
+    shape = into = None
+    if width > 1:
+        shape, into, sbit, bit = (rows, cols), (drows, dcols), sbit[..., None], bit[..., None]
     terms, dests = pos.shape
     step = max(1, _PULL_ELEMENTS // (dests * width))  # terms per chunk
     tile = min(dests, _PULL_ELEMENTS // (step * width))  # destinations per chunk
-    chunks = tuple((d, min(d + tile, dests), index[i:i + step, d:d + tile],
-                    pos[i:i + step, d:d + tile], fresh and i == 0)
-                   for d in range(0, dests, tile) for i in range(0, terms, step))
-    return src, (start, start + rows * cols, (rows, cols)), transposed, weights, chunks
+    chunks = []
+    for d in range(0, dests, tile):
+        for i in range(0, terms, step):
+            cut = np.s_[i:i + step, d:d + tile]
+            chunks.append((d, min(d + tile, dests), (bit[cut], sbit[cut]), pos[cut],
+                           fresh and i == 0))
+    return (slice(s0, s0 + rows * cols), slice(d0, d0 + drows * dcols), shape, into,
+            transposed and width > 1, weights, tuple(chunks))
 
 
 def _offsets(n: int, h: int) -> dict[int, tuple[int, int, int]]:
@@ -161,43 +176,40 @@ def _offsets(n: int, h: int) -> dict[int, tuple[int, int, int]]:
 
 
 def _weights(w, fermionic: bool):
-    """What a table's ``sbit`` reads: its bits' weights ``w``, then their
-    negations (fermionic) or ``w`` again (bosonic), so index p + len(w) is
-    bit p's odd-term weight."""
-    return np.concatenate((w, -w if fermionic else w))
-
-
-def _pull(x, o, index, pos, w, take: bool, fresh: bool) -> None:
-    """``o[d] += sum_i w[index[i, d]] * x[pos[i, d]]``, gathering along axis 0.
-
-    The chunk's terms are summed in term order from ``_ZERO``, as ``sum``
-    does.  A fresh ``o`` is not read: the sum is written into it.
-    """
-    t = x.take(pos, axis=0) if take else x[pos]
-    t *= w.take(index)
-    if fresh:
-        np.add.reduce(t, axis=0, out=o, initial=_ZERO[o.dtype])
-    else:
-        o += t[0] if len(t) == 1 else t.sum(axis=0)
+    """What a pull's index reads: its bits' weights ``w`` (bosonic, by
+    ``bit``), or ``w`` and then their negations (fermionic, by ``sbit``), so
+    index p + len(w) is bit p's odd-term weight."""
+    return np.concatenate((w, -w)) if fermionic else w
 
 
 def _raise(src, amps, wbits, fermionic, size: int):
-    n, h = wbits.shape[0], int(src[0]).bit_count()
+    n, h = len(wbits), src.item(0).bit_count()
     b = bits.low_bits(n)
-    weights = [_weights(wbits[:b], fermionic)]
-    if b < n:  # a split level's top bits, under an even and an odd low-bit count
+    plan = _PLANS.get((n, h, b)) or _plan(n, h)
+    if b == n:  # one block: the pulls read all n bits
+        weights = (_weights(wbits, fermionic),)
+    else:  # the low bits, then the top bits under an even and an odd low-bit count
         top = _weights(wbits[b:], fermionic)
-        weights += [top, -top if fermionic else top]
+        weights = (_weights(wbits[:b], fermionic), top, -top if fermionic else top)
+    zero = _ZERO[amps.dtype]
     out = np.empty(size, dtype=amps.dtype)  # every destination has a fresh chunk
-    for (s0, s1, shape), (d0, d1, into), transposed, w, chunks in _plan(n, h):
-        a, o = amps[s0:s1].reshape(shape), out[d0:d1].reshape(into)
-        # a contiguous source view (a one-row block's columns are) lets
-        # ``ndarray.take`` gather from it without copying it whole
-        take = not transposed or shape[0] == 1
-        if transposed:
-            a, o = a.T, o.T
+    for s, d, shape, into, transposed, at, chunks in plan:
+        a, o, w = amps[s], out[d], weights[at]
+        if shape is not None:
+            a, o = a.reshape(shape), o.reshape(into)
+            if transposed:
+                a, o = a.T, o.T
+        # o[d] += sum_i w[index[i, d]] * a[pos[i, d]], gathering along axis 0
+        # and summing in term order from ``zero``, as ``sum`` does; a
+        # transposed view's rows are not contiguous, so ``take`` would copy
+        # it whole
         for lo, hi, index, pos, fresh in chunks:
-            _pull(a, o[lo:hi], index, pos, weights[w], take, fresh)
+            t = a[pos] if transposed else a.take(pos, axis=0)
+            t *= w.take(index[fermionic])
+            if fresh:
+                np.add.reduce(t, axis=0, out=o[lo:hi], initial=zero)
+            else:
+                o[lo:hi] += t[0] if len(t) == 1 else t.sum(axis=0)
     return out
 
 

@@ -136,10 +136,10 @@ def _level_blocks(n: int, h: int, b: int) -> tuple[tuple[int, int, int], ...]:
 
 def block_codes(n: int, h: int) -> np.ndarray:
     """All weight-h codes on n bits in block order (see the module docstring)."""
+    if n <= BLOCK_CUTOVER_N:  # one block (b = n): ascending order
+        return shared_level_codes(n, h)
     _check_code_bits(n)
     b = low_bits(n)
-    if b == n:
-        return shared_level_codes(n, h)
     out = np.empty(binom(n, h), dtype=_LEVEL_DTYPE)
     start = 0
     for j, rows, cols in level_blocks(n, h):  # each block written in place

@@ -17,6 +17,7 @@ single code is ``2**n - 1``; its one amplitude is the value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -120,6 +121,13 @@ class SpinOperator:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.statistics not in STATISTICS:
             raise ValueError(f"statistics must be one of {STATISTICS}")
+        # what every sweep step reads, once per operator (the fields are
+        # frozen): n, the level bound of ``apply_level``, the statistics, and
+        # the weights ``_kernels`` reads, row h holding w[h, n-1-p] for the
+        # site in code bit p (the matrix with its columns reversed, copied
+        # so that each row is contiguous for the kernel's gathers)
+        object.__setattr__(self, "_step", (self.matrix.n, self.period - 1, self.fermionic,
+                                           np.ascontiguousarray(self.matrix.entries[:, ::-1])))
 
     @property
     def n(self) -> int:
@@ -197,6 +205,7 @@ def _level_codes(v: LevelVector) -> np.ndarray:
 _STATE_BYTES = 2 * (np.dtype(np.complex128).itemsize + np.dtype(bits._LEVEL_DTYPE).itemsize)
 
 
+@functools.cache  # keyed by the n <= 28 that pass; a refusal is not cached
 def _check_sweep_size(n: int) -> None:
     # the two middle levels plus the raise's fixed scratch: one chunk's
     # gather and its sum, each at most _PULL_ELEMENTS complex128.  The limit
@@ -210,30 +219,19 @@ def _check_sweep_size(n: int) -> None:
         )
 
 
-def _wbits_row(op: SpinOperator, h: int) -> np.ndarray:
-    # weight for raising the site stored in code bit p is w[h, n-1-p]: a
-    # reversed view of the matrix row
-    return op.matrix.entries[h, ::-1]
-
-
-def _check_level_for_apply(op: SpinOperator, v: LevelVector) -> None:
-    top = op.period - 1
-    if not 0 <= v.level < top:
-        raise LevelMismatchError(
-            f"apply_level expects level in [0, {top}) for variant "
-            f"{op.variant}, got {v.level}"
-        )
-
-
 def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) -> LevelVector:
     """One raising sweep: level h -> h+1, one fused multiply-add per edge."""
-    _check_level_for_apply(op, v)
-    n, h = op.n, v.level
+    n, top, fermionic, wbits = op._step
+    h = v.level
+    if not 0 <= h < top:
+        raise LevelMismatchError(
+            f"apply_level expects level in [0, {top}) for variant {op.variant}, got {h}"
+        )
     src = _level_codes(v)
     if count is not None:
         count.tally_edges(len(src) * (n - h))
     dst = bits.block_codes(n, h + 1)
-    out = _kernels.apply_level(src, dst, v.amplitudes, _wbits_row(op, h), op.fermionic)
+    out = _kernels.apply_level(src, dst, v.amplitudes, wbits[h], fermionic)
     return LevelVector(n, h + 1, out, dst)
 
 
@@ -245,13 +243,12 @@ def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None
     """
     if op.variant != "breve":
         raise LevelMismatchError("apply_closing is only defined for the breve variant")
-    n = op.n
+    n, _, fermionic, wbits = op._step
     if v.level != n - 1:
         raise LevelMismatchError(f"apply_closing expects level {n - 1}, got {v.level}")
     if count is not None:
         count.tally_edges(n)
-    return _kernels.apply_closing(_level_codes(v), v.amplitudes, _wbits_row(op, n - 1),
-                                  op.fermionic)
+    return _kernels.apply_closing(_level_codes(v), v.amplitudes, wbits[n - 1], fermionic)
 
 
 def orbit(op: SpinOperator, count: OpCount | None = None):

@@ -50,9 +50,10 @@ def test_pull_tables_list_the_raise_edges(nbits):
     # pull's sign fold, is i & 1
     for k in range(nbits):
         src, dst = bits.level_codes(nbits, k), bits.level_codes(nbits, k + 1)
-        sbit, pos = _kernels._table(nbits, k)
-        assert sbit.shape == pos.shape == (k + 1, len(dst))
-        bit, parity = sbit % nbits, sbit // nbits
+        sbit, pos, bit = _kernels._table(nbits, k)
+        assert sbit.shape == pos.shape == bit.shape == (k + 1, len(dst))
+        assert np.array_equal(bit, sbit % nbits)  # what a bosonic pull reads
+        parity = sbit // nbits
         assert np.all(np.diff(bit, axis=0) > 0)  # raised bits ascend within a destination
         term = np.broadcast_to(np.arange(k + 1)[:, None], bit.shape)
         assert np.array_equal(parity, term & 1)
@@ -69,7 +70,7 @@ def test_pull_table_parity_is_parity_below(nbits):
     # the scalar definition, entry by entry, independent of raise_edges
     for k in range(nbits):
         src = bits.level_codes(nbits, k).tolist()
-        sbit, pos = _kernels._table(nbits, k)
+        sbit, pos, _ = _kernels._table(nbits, k)
         for entry, at in zip(sbit.ravel().tolist(), pos.ravel().tolist()):
             assert entry // nbits == bits.parity_below(src[at], 1 << entry % nbits)
 
@@ -135,12 +136,17 @@ def test_evaluate_on_split_layout_matches_oracles(monkeypatch, n, statistics):
 @pytest.mark.parametrize("n", range(16, 23))
 def test_pull_chunks_gather_a_fixed_tile(n):
     for h in range(n):
-        for (_, _, shape), (_, _, into), transposed, _, chunks in _kernels._plan(n, h):
-            width, dests = (shape[0], into[1]) if transposed else (shape[1], into[0])
+        for _, dst, shape, into, transposed, _, chunks in _kernels._plan(n, h):
+            if shape is None:  # flat: one amplitude per term and destination
+                width, dests = 1, dst.stop - dst.start
+            else:
+                width, dests = (shape[0], into[1]) if transposed else (shape[1], into[0])
             terms = np.zeros(dests, dtype=int)
             fresh = np.zeros(dests, dtype=int)
-            for lo, hi, index, pos, first in chunks:
-                assert index.shape[:2] == pos.shape == (pos.shape[0], hi - lo)
+            for lo, hi, (bit, sbit), pos, first in chunks:
+                assert bit.shape == sbit.shape
+                assert bit.shape[:2] == pos.shape == (pos.shape[0], hi - lo)
+                assert bit.ndim == (2 if shape is None else 3)
                 assert pos.size * width <= _kernels._PULL_ELEMENTS
                 terms[lo:hi] += pos.shape[0]
                 fresh[lo:hi] += first

@@ -27,7 +27,7 @@ from spinperm import (
     random_matrix,
     spin_op_count,
 )
-from spinperm import _kernels, bits
+from spinperm import _kernels, bits, operator
 from spinperm.operator import embed_level_vector
 
 
@@ -368,18 +368,32 @@ def test_evaluate_builds_each_level_once(monkeypatch, backend, variant, statisti
 def test_evaluate_calls_each_kernel_boundary_once_per_step(
     monkeypatch, backend, variant, statistics
 ):
+    # every step passes both boundaries, in level order, as a caller that
+    # wraps the module attributes (a tracer) sees them: the operator's step
+    # with its level, then the kernel's with the level of its source codes
     calls = []
-    for name in ("apply_level", "apply_closing"):
-        def counting(*args, _name=name, _fn=getattr(_kernels, name)):
-            calls.append(_name)
+    for module, name in [(operator, "apply_level"), (operator, "apply_closing"),
+                         (_kernels, "apply_level"), (_kernels, "apply_closing")]:
+        def counting(*args, _name=f"{module.__name__.split('.')[-1]}.{name}",
+                     _fn=getattr(module, name), _operator=module is operator):
+            h = args[1].level if _operator else int(args[0][0]).bit_count()
+            calls.append((_name, h))
             return _fn(*args)
 
-        monkeypatch.setattr(_kernels, name, counting)
-    n = 5
-    op = SpinOperator(random_matrix(n, 3, "zero_one", backend=backend), variant, statistics)
-    evaluate(op)
-    expected = (n - 1, 1) if variant == "breve" else (n, 0)
-    assert (calls.count("apply_level"), calls.count("apply_closing")) == expected
+        monkeypatch.setattr(module, name, counting)
+    # one-block sizes from the smallest to n=12, and a split layout past the
+    # cutover; the exact backend's Fraction sweep stops at n=9
+    sizes = (1, 5, 9, 12, bits.BLOCK_CUTOVER_N + 2) if backend == "float" else (1, 5, 9)
+    for n in sizes:
+        calls.clear()
+        op = SpinOperator(random_matrix(n, 3, "zero_one", backend=backend), variant, statistics)
+        evaluate(op)
+        expected = []
+        for h in range(op.period - 1):
+            expected += [("operator.apply_level", h), ("_kernels.apply_level", h)]
+        if variant == "breve":
+            expected += [("operator.apply_closing", n - 1), ("_kernels.apply_closing", n - 1)]
+        assert calls == expected, n
 
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
