@@ -129,10 +129,10 @@ def _plan(n: int, h: int) -> tuple:
     plan = _PLANS.get((n, h, b))
     if plan is None:
         t = n - b
-        into = _offsets(n, h + 1)
+        into = {j: block for j, *block in bits.level_blocks(n, h + 1)}
         plan = []
-        for i, (j, (start, rows, cols)) in enumerate(_offsets(n, h).items()):
-            src, k = (start, rows, cols), h - j
+        for i, (j, *src) in enumerate(bits.level_blocks(n, h)):
+            k = h - j
             # block j of level h+1 first receives the top pull from block
             # j-1, so only the first block's low pull is fresh
             if k < b:  # raise a low bit: column map within block j
@@ -164,15 +164,6 @@ def _pull_plan(src, dst, transposed, fresh, nbits, k, weights):
                            fresh and i == 0))
     return (slice(s0, s0 + rows * cols), slice(d0, d0 + drows * dcols), shape, into,
             transposed and width > 1, weights, tuple(chunks))
-
-
-def _offsets(n: int, h: int) -> dict[int, tuple[int, int, int]]:
-    """Top weight j -> (start, rows, cols) of block j of level h."""
-    out, start = {}, 0
-    for j, rows, cols in bits.level_blocks(n, h):
-        out[j] = (start, rows, cols)
-        start += rows * cols
-    return out
 
 
 def _weights(w, fermionic: bool):

@@ -121,17 +121,22 @@ def low_bits(n: int) -> int:
     return n if n <= BLOCK_CUTOVER_N else n // 2
 
 
-def level_blocks(n: int, h: int) -> tuple[tuple[int, int, int], ...]:
-    """``(j, rows, cols)`` of each block of level h, in storage order."""
+def level_blocks(n: int, h: int) -> tuple[tuple[int, int, int, int], ...]:
+    """``(j, start, rows, cols)`` of each block of level h, in storage order:
+    block j holds the level's codes ``start`` to ``start + rows * cols``."""
     return _level_blocks(n, h, low_bits(n))
 
 
 # keyed by (n, h, b): a few hundred small tuples for the n <= 28 the size
 # guard lets a sweep reach
 @functools.cache
-def _level_blocks(n: int, h: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple((j, binom(n - b, j), binom(b, h - j))
-                 for j in range(max(0, h - b), min(n - b, h) + 1))
+def _level_blocks(n: int, h: int, b: int) -> tuple[tuple[int, int, int, int], ...]:
+    out, start = [], 0
+    for j in range(max(0, h - b), min(n - b, h) + 1):
+        rows, cols = binom(n - b, j), binom(b, h - j)
+        out.append((j, start, rows, cols))
+        start += rows * cols
+    return tuple(out)
 
 
 def block_codes(n: int, h: int) -> np.ndarray:
@@ -141,12 +146,9 @@ def block_codes(n: int, h: int) -> np.ndarray:
     _check_code_bits(n)
     b = low_bits(n)
     out = np.empty(binom(n, h), dtype=_LEVEL_DTYPE)
-    start = 0
-    for j, rows, cols in level_blocks(n, h):  # each block written in place
-        block = out[start:start + rows * cols].reshape(rows, cols)
-        np.bitwise_or((shared_level_codes(n - b, j) << b)[:, None],
-                      shared_level_codes(b, h - j), out=block)
-        start += rows * cols
+    for j, start, rows, cols in level_blocks(n, h):  # each block written in place
+        np.bitwise_or((shared_level_codes(n - b, j) << b)[:, None], shared_level_codes(b, h - j),
+                      out=out[start:start + rows * cols].reshape(rows, cols))
     return out
 
 

@@ -2,7 +2,10 @@
 
 The operator's cycle is modeled as a layered DAG with the empty state
 duplicated into a source and a sink, so every source-to-sink path is one
-permutation term and path enumeration terminates.
+permutation term and path enumeration terminates.  A graph's edges are
+``operator.edges`` for the operator itself and ``ReductionState.edges``
+for a reduction round; one builder (``_graph``) makes either's nodes from
+its state codes.
 """
 
 from __future__ import annotations
@@ -10,12 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import bits, rref
 from .errors import RangeError, SizeGuardError, ZeroPivotError
 from .matrix import format_complex
-from .operator import SpinOperator
+from .operator import SpinOperator, edges
 from .reduction import UNCHANGED_REL_TOL, ReductionTrace, elimination_entries
 
 GRAPH_MAX_N = 12
@@ -85,45 +85,43 @@ def _node_id(code: int) -> str:
     return f"v{code}"
 
 
-def _sort_and_check(nodes, edges) -> None:
+def _target_id(code: int) -> str:
+    """An edge into the empty state, code 0, closes the cycle at the sink."""
+    return _node_id(code) if code else SINK_ID
+
+
+def _graph(op: SpinOperator, codes, edge_list: list[AbpEdge]) -> AbpGraph:
+    """The graph on the states ``codes`` plus the sink, nodes and edges in
+    level order; refuses an edge that does not step one level down."""
+    n = op.n
+    nodes = [AbpNode(SINK_ID, "0" * n, op.period)] + [
+        AbpNode(_node_id(c), format(c, f"0{n}b"), c.bit_count()) for c in codes]
     nodes.sort(key=lambda nd: (nd.level, nd.id))
     level_of = {nd.id: nd.level for nd in nodes}
-    edges.sort(key=lambda e: (level_of[e.source], e.source, e.target))
-    for e in edges:
+    edge_list.sort(key=lambda e: (level_of[e.source], e.source, e.target))
+    for e in edge_list:
         if level_of[e.target] != level_of[e.source] + 1:
             raise ValueError("edge does not step one level down")
+    return AbpGraph(n=n, nodes=nodes, edges=edge_list, source_id=_node_id(0))
 
 
 def _operator_edges(op: SpinOperator) -> list[AbpEdge]:
-    """Every edge of the operator, from the edge table over all its states.
-
-    Breve edges into the full state go to the sink, tilde adds its weight-1
-    return; a weight is ±1 times w, whose zeros' signs can differ from ±w's.
-    """
-    n, full, breve = op.n, (1 << op.n) - 1, op.variant == "breve"
-    bit, src, raised, odd = bits.raise_edges(np.arange(op.dimension), n)
-    level, site = np.bitwise_count(src), n - 1 - bit
-    sign = np.where(odd & op.fermionic, -1, 1)
-    weight = sign * op.matrix.to_array()[level, site]
-    edges = [AbpEdge(_node_id(s), SINK_ID if breve and t == full else _node_id(t), wt,
-                     f"{'-' if sg < 0 else ''}w_{{{h},{p}}}")
-             for s, t, wt, h, p, sg in zip(src.tolist(), raised.tolist(), weight.tolist(),
-                                           level.tolist(), site.tolist(), sign.tolist())]
-    if not breve:
-        edges.append(AbpEdge(_node_id(full), SINK_ID, 1.0 + 0.0j, "1"))
-    return edges
+    """Every edge of the operator (``operator.edges``), plus tilde's weight-1
+    return from the full state to the sink."""
+    src, dst, level, site, odd, weight = edges(op)
+    out = [AbpEdge(_node_id(s), _target_id(t), wt, f"{'-' if o else ''}w_{{{h},{p}}}")
+           for s, t, h, p, o, wt in zip(src.tolist(), dst.tolist(), level.tolist(),
+                                        site.tolist(), odd.tolist(), weight.tolist())]
+    if op.variant == "tilde":
+        out.append(AbpEdge(_node_id((1 << op.n) - 1), SINK_ID, 1.0 + 0.0j, "1"))
+    return out
 
 
 def graph_from_operator(op: SpinOperator) -> AbpGraph:
     """One node per basis state plus the duplicated empty-state sink."""
-    n = op.n
-    if n > GRAPH_MAX_N:
+    if op.n > GRAPH_MAX_N:
         raise SizeGuardError(f"graph construction limited to n <= {GRAPH_MAX_N}")
-    nodes = [AbpNode(SINK_ID, "0" * n, op.period)] + [
-        AbpNode(_node_id(c), format(c, f"0{n}b"), c.bit_count()) for c in range(op.dimension)]
-    edges = _operator_edges(op)
-    _sort_and_check(nodes, edges)
-    return AbpGraph(n=n, nodes=nodes, edges=edges, source_id=_node_id(0))
+    return _graph(op, range(op.dimension), _operator_edges(op))
 
 
 def count_paths(graph: AbpGraph) -> int:
@@ -211,23 +209,14 @@ def graph_from_reduction(trace: ReductionTrace, round: int) -> AbpGraph:
     op = trace.source_operator
     if round == 0:
         return graph_from_operator(op)
-    n = op.n
     state = trace.rounds[round - 1]
-    basis = state.basis
     orig_edges = {(e.source, e.target): e for e in _operator_edges(op)}
     candidates = _symbolic_candidates(op)
-    nodes = [AbpNode(SINK_ID, "0" * n, n)]
-    nodes.extend(AbpNode(_node_id(s.code), s.text, s.level) for s in basis)
-    edges = []
-    for t, s in zip(*rref.support(state.operator)):
-        src, dst = basis[s], basis[t]
-        src_id = _node_id(src.code)
-        dst_id = SINK_ID if dst.level == 0 and src.level == n - 1 else _node_id(dst.code)
-        value = complex(state.operator[t, s])
-        display = _reduced_display(value, orig_edges.get((src_id, dst_id)), candidates)
-        edges.append(AbpEdge(src_id, dst_id, value, display))
-    _sort_and_check(nodes, edges)
-    return AbpGraph(n=n, nodes=nodes, edges=edges, source_id=_node_id(0))
+    out = []
+    for src, dst, value in state.edges():
+        ids = _node_id(src.code), _target_id(dst.code)
+        out.append(AbpEdge(*ids, value, _reduced_display(value, orig_edges.get(ids), candidates)))
+    return _graph(op, [s.code for s in state.basis], out)
 
 
 def export_dot(graph: AbpGraph, show_signs: bool = True, numeric_weights: bool = False) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,6 +170,9 @@ def _entry_scalar(value, backend: str):
         return parse_complex_literal(value, backend)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"invalid matrix entry {value!r}")
+    # json.loads reads 1e400 as inf and NaN and Infinity as they are
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError("matrix entries must be finite")
     if backend == "exact":
         frac = Fraction(value) if isinstance(value, int) else Fraction(repr(value))
         return ExactComplex(frac)

@@ -8,7 +8,8 @@ determinant (fermionic) at a counted cost of exactly ``n * 2**n`` fused
 multiply-adds.
 
 Every edge here comes from the edge table of ``bits.raise_edges``, which the
-sweep's pull tables (``_kernels``) sort and ``dense_operator`` scatters;
+sweep's pull tables (``_kernels``) sort; ``edges`` gives it its weights
+over the whole operator, for ``dense_operator`` and the graph, and
 ``jw_sign`` is its sign rule for one state, ``bits.parity_below``.  The
 float and exact backends run the same sweep; only the dtype of the
 amplitudes differs.  The closing step is the raise into level n, whose
@@ -282,6 +283,28 @@ def evaluate(op: SpinOperator):
     return v.amplitudes.item(0), count
 
 
+def edges(op: SpinOperator):
+    """Every edge of the operator over its ``op.dimension`` states, as flat
+    arrays ``(src, dst, level, site, odd, weight)``.
+
+    Edge e raises ``site[e]`` of the state with code ``src[e]``, of Hamming
+    level ``level[e]``, into code ``dst[e]``; breve closings, whose raise
+    fills every site, land on the empty state, code 0.  ``odd[e]`` marks a
+    fermionic edge whose Jordan-Wigner sign is odd.  Its weight is the
+    complex product ``-1`` or ``1`` times ``w[level, site]``, which can
+    differ from ``-w`` or ``w`` in the sign of a zero part.  The edges are
+    in ``bits.raise_edges`` order; tilde's unit return edge is not one of
+    them.
+    """
+    n = op.n
+    bit, src, dst, odd = bits.raise_edges(np.arange(op.dimension), n)
+    level, site, odd = np.bitwise_count(src), n - 1 - bit, odd & op.fermionic
+    weight = np.where(odd, -1, 1) * op.matrix.to_array()[level, site]
+    if op.variant == "breve":
+        dst[dst == (1 << n) - 1] = 0
+    return src, dst, level, site, odd, weight
+
+
 def dense_operator(op: SpinOperator) -> np.ndarray:
     """Materialize every edge of the operator as a dense array.
 
@@ -290,21 +313,13 @@ def dense_operator(op: SpinOperator) -> np.ndarray:
     closed variant omits the all-occupied state entirely; the cyclic variant
     keeps it and carries the unit return entry to the empty state.
     """
-    n = op.n
-    if n > DENSE_MAX_N:
+    if op.n > DENSE_MAX_N:
         raise SizeGuardError(f"dense operator limited to n <= {DENSE_MAX_N}")
-    dim, full = op.dimension, (1 << n) - 1
-    dense = np.zeros((dim, dim), dtype=np.complex128)
-    # over all codes 0..dim-1, so an edge's source position is its code
-    bit, src, raised, odd = bits.raise_edges(np.arange(dim), n)
-    weights = op.matrix.to_array()[np.bitwise_count(src), n - 1 - bit]
-    if op.fermionic:
-        weights = np.where(odd, -weights, weights)
-    if op.variant == "breve":
-        raised[raised == full] = 0
-    dense[raised, src] = weights
+    dense = np.zeros((op.dimension, op.dimension), dtype=np.complex128)
+    src, dst, *_, weight = edges(op)
+    dense[dst, src] = weight
     if op.variant == "tilde":
-        dense[0, full] = 1.0
+        dense[0, -1] = 1.0  # the full state, the last, returns to the empty one
     return dense
 
 

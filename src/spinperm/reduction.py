@@ -52,6 +52,14 @@ class ReductionState:
     removed: list[BasisState] = field(default_factory=list)
     fill_stats: tuple[int, int, int] = (0, 0, 0)
 
+    def edges(self) -> list[tuple[BasisState, BasisState, complex]]:
+        """``(source, target, weight)`` of every operator entry above the zero
+        threshold (``rref.support``), in ``np.nonzero`` order."""
+        targets, sources = rref.support(self.operator)
+        return list(zip([self.basis[i] for i in sources.tolist()],
+                        [self.basis[i] for i in targets.tolist()],
+                        self.operator[targets, sources].tolist()))
+
 
 @dataclass
 class ReductionTrace:
@@ -60,8 +68,20 @@ class ReductionTrace:
     source_operator: SpinOperator
     initial: ReductionState
     rounds: list[ReductionState]
-    final_operator: np.ndarray
-    final_product: complex
+
+    @property
+    def final(self) -> ReductionState:
+        """The last round, the n-state cycle (the initial state when n = 1)."""
+        return self.rounds[-1] if self.rounds else self.initial
+
+    @property
+    def final_operator(self) -> np.ndarray:
+        return self.final.operator
+
+    @property
+    def final_product(self) -> complex:
+        """Product of the final cycle's entries: the permanent or determinant."""
+        return complex(np.prod([w for *_, w in self.final.edges()]))
 
     def to_json_dict(self) -> dict:
         rounds = []
@@ -79,16 +99,8 @@ class ReductionTrace:
                     },
                 }
             )
-        cycle = []
-        basis = self.rounds[-1].basis if self.rounds else self.initial.basis
-        for t, s in zip(*rref.support(self.final_operator)):
-            cycle.append(
-                {
-                    "source": basis[s].text,
-                    "target": basis[t].text,
-                    "weight": format_complex(self.final_operator[t, s]),
-                }
-            )
+        cycle = [{"source": s.text, "target": t.text, "weight": format_complex(w)}
+                 for s, t, w in self.final.edges()]
         return {
             "n": self.source_operator.n,
             "variant": self.source_operator.variant,
@@ -148,23 +160,17 @@ def factor_round(state: ReductionState) -> ReductionState:
         fill_stats=_fill_stats(op, new_op, keep))
 
 
-def _validate_final(op: SpinOperator, final: np.ndarray, basis: list[BasisState]):
-    n = op.n
-    if final.shape != (n, n):
-        raise ConsistencyError(
-            f"reduction ended at dimension {final.shape[0]}, expected {n}"
-        )
-    targets, sources = rref.support(final)
-    if len(sources) != n:
-        raise ConsistencyError(
-            f"final operator has {len(sources)} nonzero entries, expected {n}"
-        )
-    if len(set(sources.tolist())) != n or len(set(targets.tolist())) != n:
+def _validate_final(n: int, final: ReductionState) -> None:
+    d = final.operator.shape[0]
+    if final.operator.shape != (n, n):
+        raise ConsistencyError(f"reduction ended at dimension {d}, expected {n}")
+    edges = final.edges()
+    if len(edges) != n:
+        raise ConsistencyError(f"final operator has {len(edges)} nonzero entries, expected {n}")
+    if len({s.code for s, _, _ in edges}) != n or len({t.code for _, t, _ in edges}) != n:
         raise ConsistencyError("final operator entries do not form a single cycle")
-    for t, s in zip(targets, sources):
-        lt, ls = basis[t].level, basis[s].level
-        if lt != (ls + 1) % n:
-            raise ConsistencyError("final cycle does not step one level at a time")
+    if any(t.level != (s.level + 1) % n for s, t, _ in edges):
+        raise ConsistencyError("final cycle does not step one level at a time")
 
 
 def reduce_fully(op: SpinOperator) -> ReductionTrace:
@@ -179,20 +185,12 @@ def reduce_fully(op: SpinOperator) -> ReductionTrace:
     if complex(evaluate(op)[0]) == 0:
         name = "permanent" if op.statistics == "bosonic" else "determinant"
         raise ZeroPermanentError(f"row reduction assumes a nonzero {name}")
-    initial = state
-    rounds = []
+    trace = ReductionTrace(source_operator=op, initial=state, rounds=[])
     for _ in range(op.n - 1):
         state = factor_round(state)
-        rounds.append(state)
-    _validate_final(op, state.operator, state.basis)
-    final_product = complex(np.prod(state.operator[rref.support(state.operator)]))
-    return ReductionTrace(
-        source_operator=op,
-        initial=initial,
-        rounds=rounds,
-        final_operator=state.operator,
-        final_product=final_product,
-    )
+        trace.rounds.append(state)
+    _validate_final(op.n, trace.final)
+    return trace
 
 
 @dataclass

@@ -200,12 +200,7 @@ def _n4_bosonic_kernel(w):
 
 def _edges(state):
     """Nonzero operator entries keyed by (source, target) label."""
-    op = state.operator
-    labels = [s.text for s in state.basis]
-    return {
-        (labels[s], labels[t]): complex(op[t, s])
-        for t, s in zip(*rref.support(op))
-    }
+    return {(s.text, t.text): w for s, t, w in state.edges()}
 
 
 N4_REWEIGHTED_EDGES = {

@@ -32,15 +32,16 @@ def test_block_codes_permute_level_codes(n):
         assert np.array_equal(np.sort(codes), ascending)
         if n <= CUT:
             assert np.array_equal(codes, ascending)
-        start = 0
-        for j, rows, cols in bits.level_blocks(n, h):
+        end = 0
+        for j, start, rows, cols in bits.level_blocks(n, h):
+            assert start == end  # the blocks tile the level in storage order
             block = codes[start:start + rows * cols].reshape(rows, cols)
-            start += rows * cols
+            end = start + rows * cols
             # row r holds top code r, column c holds low code c
             assert np.array_equal(block[:, 0] >> b, bits.level_codes(n - b, j))
             assert np.array_equal(block[0] & low, bits.level_codes(b, h - j))
             assert np.array_equal(block, (block[:, :1] & ~low) | (block[:1] & low))
-        assert start == len(codes)
+        assert end == len(codes)
 
 
 @pytest.mark.parametrize("nbits", range(1, 13))

@@ -479,6 +479,16 @@ def test_json_integer_beyond_double_range(runner, tmp_path, command):
     assert json.loads(result.stderr)["error"] == "non_finite"
 
 
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("token", ["1e400", "NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_number_is_an_input_error(runner, tmp_path, token, backend):
+    # json.loads reads each of these as a non-finite float
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[%s, 0], [0, 1]]}' % token)
+    result = runner.invoke(main, ["perm", "--input", str(path), "--backend", backend])
+    assert input_error(result) == "matrix entries must be finite"
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce"], ["graph"], ["graph", "--round", "1", "--format", "json"], ["perm"],
 ])

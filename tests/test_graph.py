@@ -12,7 +12,10 @@ from spinperm import (
     dense_operator,
     determinant_gauss,
     evaluate,
+    format_complex,
+    parse_matrix,
     random_matrix,
+    rref,
 )
 from spinperm.graph import (
     _symbolic_candidates,
@@ -42,24 +45,65 @@ def test_graph_n1():
     assert g.edges[0].display == "w_{0,0}"
 
 
+def _input(n, kind):
+    if kind != "negative_zero":
+        return random_matrix(n, n, kind)
+    # zeros written with a minus sign in either part, as a CSV input may hold
+    # them, between nonzero entries: ±w and ±1 * w can differ on such a zero
+    cells = ["-0-0i", "1.5-0.5i", "-0-1i", "-0+0i", "2"]
+    return parse_matrix("\n".join(",".join(cells[(i + 2 * j) % 5] for j in range(n))
+                                   for i in range(n)))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("variant", ["breve", "tilde"])
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
-@pytest.mark.parametrize("kind", ["complex_gaussian", "zero_one"])
+@pytest.mark.parametrize("kind", ["complex_gaussian", "zero_one", "negative_zero"])
 def test_graph_edges_are_the_dense_operator(n, variant, statistics, kind):
-    # two readers of one edge table, compared edge by edge: the sink is code
-    # 0, so the tilde return edge reads dense[0, full], and a 0/1 input's
-    # zero-weight edges are edges too
-    op = SpinOperator(random_matrix(n, n, kind), variant, statistics)
+    # two readers of one edge list, compared edge by edge and bit for bit,
+    # signed zeros included: the sink is code 0, so the tilde return edge
+    # reads dense[0, full], and a 0/1 input's zero-weight edges are edges too
+    op = SpinOperator(_input(n, kind), variant, statistics)
     dense, g = dense_operator(op), graph_from_operator(op)
     code = {nd.id: 0 if nd.id == g.sink_id else int(nd.id[1:]) for nd in g.nodes}
     seen = np.zeros(dense.shape, dtype=bool)
     for e in g.edges:
         t, s = code[e.target], code[e.source]
-        assert e.weight == dense[t, s] and not seen[t, s]
+        assert np.complex128(e.weight).tobytes() == dense[t, s].tobytes() and not seen[t, s]
         seen[t, s] = True
     assert len(g.edges) == n * 2 ** (n - 1) + (variant == "tilde")
     assert not np.any(dense[~seen])  # no entry the graph lacks
+
+
+def test_a_minus_zero_weight_prints_as_zero():
+    # a weight is the complex product 1 * w, whose real zero is +0 here, as
+    # the graph has always printed it; -w's would be -0
+    g = graph_from_operator(SpinOperator(parse_matrix("-0-0i"), "breve", "bosonic"))
+    assert [e["weight"] for e in g.to_json_dict()["edges"]] == ["0.0"]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_reduction_readers_are_the_round_edges(n, statistics):
+    # each round's graph and the final cycle list exactly ReductionState.edges():
+    # every entry above the zero threshold, an edge into the empty state
+    # closing at the sink
+    trace = reduce_fully(SpinOperator(random_matrix(n, n, "complex_gaussian"), "breve",
+                                      statistics))
+    for r, state in enumerate(trace.rounds, start=1):
+        op = state.operator
+        targets, sources = np.nonzero(np.abs(op) > rref.zero_threshold(op))
+        edges = state.edges()
+        assert [(s.code, t.code, w) for s, t, w in edges] == [
+            (state.basis[j].code, state.basis[i].code, complex(op[i, j]))
+            for i, j in zip(targets, sources)]
+        g = graph_from_reduction(trace, r)
+        assert sorted((e.source, e.target, e.weight) for e in g.edges) == sorted(
+            (f"v{s.code}", f"v{t.code}" if t.code else g.sink_id, w) for s, t, w in edges)
+    cycle = [{"source": s.text, "target": t.text, "weight": format_complex(w)}
+             for s, t, w in trace.rounds[-1].edges()]
+    assert trace.to_json_dict()["final_cycle"] == sorted(cycle, key=lambda e: e["source"])
+    assert len(cycle) == n
 
 
 def test_graph_fermionic_negative_labels(m3):

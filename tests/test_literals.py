@@ -138,8 +138,8 @@ def test_one_pass_check_accepts_the_ascii_literals_of_the_token_grammar(tokens):
 
 
 def test_failed_check_takes_linear_time():
-    # without the atomic groups, every split of each earlier literal's
-    # digits would be retried: about 9**40 attempts here
+    # without the possessive quantifiers, every split of each earlier
+    # literal's digits would be retried: about 9**40 attempts here
     code = ("from spinperm import parse_matrix, ParseError\n"
             "row = ','.join(['123456789'] * 40 + ['x'])\n"
             "try:\n    parse_matrix('\\n'.join([row] * 41), 'csv')\n"

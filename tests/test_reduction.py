@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -422,6 +423,45 @@ def test_factor_round_refuses_a_bad_kernel_basis(monkeypatch, operator, rows, er
     monkeypatch.setattr(reduction, "kernel_basis", lambda op: basis)
     with pytest.raises(error) as info:
         factor_round(_three_state_round(operator))
+    assert str(info.value) == message
+
+
+def _extra_entry(op):
+    op = op.copy()
+    op[0, 0] = np.max(np.abs(op))
+    return op
+
+
+def _shared_source(op):
+    # move the first entry into the second's column: n entries, two in one column
+    op = op.copy()
+    (t0, _), (s0, s1) = (a[:2] for a in rref.support(op))
+    op[t0, s1], op[t0, s0] = op[t0, s0], 0
+    return op
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # the last round left out: round n-2's states
+    (lambda before, after: dataclasses.replace(before, round=after.round),
+     "reduction ended at dimension 7, expected 4"),
+    (lambda before, after: dataclasses.replace(after, operator=_extra_entry(after.operator)),
+     "final operator has 5 nonzero entries, expected 4"),
+    (lambda before, after: dataclasses.replace(after, operator=_shared_source(after.operator)),
+     "final operator entries do not form a single cycle"),
+    # every edge reversed: a cycle that steps one level down
+    (lambda before, after: dataclasses.replace(after, operator=after.operator.T.copy()),
+     "final cycle does not step one level at a time"),
+], ids=["dimension", "entry-count", "single-cycle", "level-steps"])
+def test_reduce_fully_refuses_a_bad_final_cycle(monkeypatch, corrupt, message):
+    n, original = 4, reduction.factor_round
+
+    def last_round_corrupted(state):
+        out = original(state)
+        return corrupt(state, out) if out.round == n - 1 else out
+
+    monkeypatch.setattr(reduction, "factor_round", last_round_corrupted)
+    with pytest.raises(ConsistencyError) as info:
+        reduce_fully(SpinOperator(random_matrix(n, 1), "breve", "bosonic"))
     assert str(info.value) == message
 
 
