@@ -10,8 +10,8 @@ from importlib import import_module
 # module -> the public names it defines
 _EXPORTS = {
     "errors": (
-        "BlockStructureError", "ConsistencyError", "LevelMismatchError", "OccupiedSiteError",
-        "ParseError", "RangeError", "SizeGuardError", "SpectralMismatchError", "SpinpermError",
+        "BlockStructureError", "ConsistencyError", "LevelMismatchError", "ParseError",
+        "RangeError", "SizeGuardError", "SpectralMismatchError", "SpinpermError",
         "ZeroPermanentError", "ZeroPivotError",
     ),
     "exact": ("ExactComplex",),
@@ -20,8 +20,8 @@ _EXPORTS = {
         "parse_complex_literal", "parse_matrix", "random_matrix",
     ),
     "operator": (
-        "BasisState", "LevelVector", "OpCount", "SpinOperator", "apply_closing",
-        "apply_level", "dense_operator", "evaluate", "jw_sign", "orbit", "spin_op_count",
+        "LevelVector", "OpCount", "SpinOperator", "apply_closing", "apply_level",
+        "dense_operator", "evaluate", "orbit", "spin_op_count",
     ),
     "oracles": (
         "determinant_gauss", "lower_triangular_reduce", "permanent_naive", "permanent_ryser",

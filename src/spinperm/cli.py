@@ -372,7 +372,7 @@ def bench(min_n, max_n, repeats, seed, output):
 
 @main.command()
 def selftest():
-    """Run acceptance criteria 1-8 and print one PASS/FAIL line per criterion."""
+    """Run acceptance criteria 1-8 and 10 and print one PASS/FAIL line per criterion."""
     from .selftest import run_selftest
 
     ok = run_selftest(emit=lambda line: _write(line + "\n"))

@@ -22,17 +22,13 @@ class ZeroPivotError(SpinpermError):
         self.entry = entry
 
 
-class OccupiedSiteError(SpinpermError):
-    """Raising operator applied to an already occupied site."""
-
-
 class LevelMismatchError(SpinpermError):
     """Level vector fed to a step expecting a different Hamming level."""
 
 
 class RangeError(SpinpermError):
-    """An index outside its supported range: a level code above 31 bits, a
-    graph round or a Jordan-Wigner site."""
+    """An index outside its supported range: a level code above 31 bits or a
+    graph round."""
 
 
 class ZeroPermanentError(SpinpermError):

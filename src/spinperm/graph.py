@@ -213,10 +213,10 @@ def graph_from_reduction(trace: ReductionTrace, round: int) -> AbpGraph:
     orig_edges = {(e.source, e.target): e for e in _operator_edges(op)}
     candidates = _symbolic_candidates(op)
     out = []
-    for src, dst, value in state.edges():
-        ids = _node_id(src.code), _target_id(dst.code)
+    for src, dst, value in zip(*(a.tolist() for a in state.edges())):
+        ids = _node_id(src), _target_id(dst)
         out.append(AbpEdge(*ids, value, _reduced_display(value, orig_edges.get(ids), candidates)))
-    return _graph(op, [s.code for s in state.basis], out)
+    return _graph(op, state.basis.tolist(), out)
 
 
 def export_dot(graph: AbpGraph, show_signs: bool = True, numeric_weights: bool = False) -> str:

@@ -52,11 +52,12 @@ def parse_complex_literal(token: str, backend: str = "float"):
 
 
 def format_complex(value) -> str:
-    """Render a scalar as ``a+bi`` (pure reals stay as ``a``)."""
+    """Render a scalar as ``a+bi`` (pure reals stay as ``a``); a zero real
+    part prints as ``0.0`` whatever its sign."""
     if isinstance(value, ExactComplex):
         value = complex(value)
     value = complex(value)
-    re_txt = repr(value.real)
+    re_txt = repr(value.real + 0.0)
     if value.imag == 0.0:
         return re_txt
     sign = "+" if value.imag >= 0 else "-"

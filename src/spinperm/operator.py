@@ -9,8 +9,7 @@ multiply-adds.
 
 Every edge here comes from the edge table of ``bits.raise_edges``, which the
 sweep's pull tables (``_kernels``) sort; ``edges`` gives it its weights
-over the whole operator, for ``dense_operator`` and the graph, and
-``jw_sign`` is its sign rule for one state, ``bits.parity_below``.  The
+over the whole operator, for ``dense_operator`` and the graph.  The
 float and exact backends run the same sweep; only the dtype of the
 amplitudes differs.  The closing step is the raise into level n, whose
 single code is ``2**n - 1``; its one amplitude is the value.
@@ -25,12 +24,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import _kernels, bits
-from .errors import (
-    LevelMismatchError,
-    OccupiedSiteError,
-    RangeError,
-    SizeGuardError,
-)
+from .errors import LevelMismatchError, SizeGuardError
 from .exact import EXACT_ONE
 from .matrix import SquareMatrix
 
@@ -39,47 +33,6 @@ STATISTICS = ("bosonic", "fermionic")
 
 DENSE_MAX_N = 12
 SWEEP_MAX_BYTES = 2 << 30  # see _check_sweep_size
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """Occupation string stored as its ``code``: the label read as a binary number."""
-
-    code: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < (1 << self.n):
-            raise ValueError(f"code {self.code} out of range for n={self.n}")
-
-    @property
-    def level(self) -> int:
-        return self.code.bit_count()
-
-    @property
-    def text(self) -> str:
-        """Rendered label, site 0 leftmost."""
-        return format(self.code, f"0{self.n}b")
-
-    @classmethod
-    def from_text(cls, text: str) -> "BasisState":
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"invalid occupation string {text!r}")
-        return cls(int(text, 2), len(text))
-
-
-def jw_sign(state: BasisState, site: int) -> int:
-    """Jordan-Wigner phase for creating a particle at ``site``.
-
-    Counts occupied sites with index greater than ``site`` (to the right in
-    the rendered label); odd count flips the sign.
-    """
-    if not 0 <= site < state.n:
-        raise RangeError(f"site {site} out of range for n={state.n}")
-    bit = 1 << (state.n - 1 - site)
-    if state.code & bit:
-        raise OccupiedSiteError(f"site {site} of {state.text} already occupied")
-    return -1 if bits.parity_below(state.code, bit) else 1
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 from . import bits, rref
 from .errors import ConsistencyError, SizeGuardError, ZeroPermanentError, ZeroPivotError
 from .matrix import SquareMatrix, format_complex
-from .operator import BasisState, SpinOperator, dense_operator, evaluate
+from .operator import SpinOperator, dense_operator, evaluate
 from .oracles import determinant_gauss, lower_triangular_reduce
 
 REDUCE_MAX_N = 10
@@ -41,24 +41,23 @@ def kernel_basis(operator: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ReductionState:
-    """Output of one factorization round (round 0 is the unreduced operator)."""
+    """Output of one factorization round (round 0 is the unreduced operator):
+    ``basis`` holds the codes of the operator's states, in index order, and
+    ``removed`` the codes the round deleted, in kernel-vector order."""
 
     round: int
     operator: np.ndarray
-    basis: list[BasisState]
+    basis: np.ndarray
     kernel_vectors: np.ndarray | None = None
-    B: np.ndarray | None = None
-    A: np.ndarray | None = None
-    removed: list[BasisState] = field(default_factory=list)
+    removed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     fill_stats: tuple[int, int, int] = (0, 0, 0)
 
-    def edges(self) -> list[tuple[BasisState, BasisState, complex]]:
-        """``(source, target, weight)`` of every operator entry above the zero
-        threshold (``rref.support``), in ``np.nonzero`` order."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every operator entry above the zero threshold (``rref.support``) as
+        flat arrays ``(src, dst, weight)`` of state codes and weights, in
+        ``np.nonzero`` order."""
         targets, sources = rref.support(self.operator)
-        return list(zip([self.basis[i] for i in sources.tolist()],
-                        [self.basis[i] for i in targets.tolist()],
-                        self.operator[targets, sources].tolist()))
+        return self.basis[sources], self.basis[targets], self.operator[targets, sources]
 
 
 @dataclass
@@ -75,22 +74,19 @@ class ReductionTrace:
         return self.rounds[-1] if self.rounds else self.initial
 
     @property
-    def final_operator(self) -> np.ndarray:
-        return self.final.operator
-
-    @property
     def final_product(self) -> complex:
         """Product of the final cycle's entries: the permanent or determinant."""
-        return complex(np.prod([w for *_, w in self.final.edges()]))
+        return complex(np.prod(self.final.edges()[2]))
 
     def to_json_dict(self) -> dict:
+        n = self.source_operator.n
         rounds = []
         for st in self.rounds:
             reweighted, unchanged, new = st.fill_stats
             rounds.append(
                 {
                     "round": st.round,
-                    "removed": [s.text for s in st.removed],
+                    "removed": [format(c, f"0{n}b") for c in st.removed.tolist()],
                     "dimension": st.operator.shape[0],
                     "fill_stats": {
                         "reweighted": reweighted,
@@ -99,10 +95,11 @@ class ReductionTrace:
                     },
                 }
             )
-        cycle = [{"source": s.text, "target": t.text, "weight": format_complex(w)}
-                 for s, t, w in self.final.edges()]
+        cycle = [{"source": format(s, f"0{n}b"), "target": format(t, f"0{n}b"),
+                  "weight": format_complex(w)}
+                 for s, t, w in zip(*(a.tolist() for a in self.final.edges()))]
         return {
-            "n": self.source_operator.n,
+            "n": n,
             "variant": self.source_operator.variant,
             "statistics": self.source_operator.statistics,
             "rounds": rounds,
@@ -112,11 +109,9 @@ class ReductionTrace:
 
 
 def initial_state(op: SpinOperator) -> ReductionState:
-    n = op.n
-    if n > REDUCE_MAX_N:
+    if op.n > REDUCE_MAX_N:
         raise SizeGuardError(f"row reduction limited to n <= {REDUCE_MAX_N}")
-    basis = [BasisState(code, n) for code in range(op.dimension)]
-    return ReductionState(round=0, operator=dense_operator(op), basis=basis)
+    return ReductionState(round=0, operator=dense_operator(op), basis=np.arange(op.dimension))
 
 
 def _fill_stats(old: np.ndarray, new: np.ndarray, keep: np.ndarray) -> tuple[int, int, int]:
@@ -130,11 +125,12 @@ def _fill_stats(old: np.ndarray, new: np.ndarray, keep: np.ndarray) -> tuple[int
 
 
 def factor_round(state: ReductionState) -> ReductionState:
-    """One B/A factorization round; a full-rank input passes through unchanged."""
+    """One B/A factorization round; a full-rank input passes through unchanged.
+    B and A are checked here, not kept."""
     op, d, rnd = state.operator, state.operator.shape[0], state.round + 1
     vectors = kernel_basis(op)
     if not len(vectors):
-        return ReductionState(round=rnd, operator=op.copy(), basis=list(state.basis),
+        return ReductionState(round=rnd, operator=op.copy(), basis=state.basis.copy(),
                               kernel_vectors=vectors)
     leads = rref.leading_index(vectors)
     mag = np.abs(vectors)
@@ -155,21 +151,20 @@ def factor_round(state: ReductionState) -> ReductionState:
         raise ZeroPivotError(f"round {rnd}: B fails to annihilate a kernel vector")
     new_op = b @ a
     return ReductionState(
-        round=rnd, operator=new_op, basis=[state.basis[i] for i in keep],
-        kernel_vectors=vectors, B=b, A=a, removed=[state.basis[i] for i in leads],
-        fill_stats=_fill_stats(op, new_op, keep))
+        round=rnd, operator=new_op, basis=state.basis[keep], kernel_vectors=vectors,
+        removed=state.basis[leads], fill_stats=_fill_stats(op, new_op, keep))
 
 
 def _validate_final(n: int, final: ReductionState) -> None:
     d = final.operator.shape[0]
     if final.operator.shape != (n, n):
         raise ConsistencyError(f"reduction ended at dimension {d}, expected {n}")
-    edges = final.edges()
-    if len(edges) != n:
-        raise ConsistencyError(f"final operator has {len(edges)} nonzero entries, expected {n}")
-    if len({s.code for s, _, _ in edges}) != n or len({t.code for _, t, _ in edges}) != n:
+    src, dst, _ = final.edges()
+    if len(src) != n:
+        raise ConsistencyError(f"final operator has {len(src)} nonzero entries, expected {n}")
+    if len(set(src.tolist())) != n or len(set(dst.tolist())) != n:
         raise ConsistencyError("final operator entries do not form a single cycle")
-    if any(t.level != (s.level + 1) % n for s, t, _ in edges):
+    if np.any(np.bitwise_count(dst) != (np.bitwise_count(src) + 1) % n):
         raise ConsistencyError("final cycle does not step one level at a time")
 
 
@@ -253,7 +248,7 @@ def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
         m = matrix.n - r
         bit, pos, raised, odd = bits.raise_edges(np.arange((1 << m) - 1), m)
         index = np.full(1 << matrix.n, -1)
-        index[[b.code for b in state.basis]] = np.arange(len(state.basis))
+        index[state.basis] = np.arange(len(state.basis))
         t, u = index[raised << r], index[pos << r]
         value = np.where((t < 0) | (u < 0), 0, state.operator[t, u])
         edges.append((m - 1 - bit, np.bitwise_count(pos), np.where(odd, -value, value)))

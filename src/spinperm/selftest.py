@@ -9,6 +9,7 @@ timing run rather than an invariant and lives in the tests only.
 
 from __future__ import annotations
 
+import collections
 import math
 import time
 
@@ -168,8 +169,8 @@ def criterion_7a() -> None:
         trace = reduce_fully(SpinOperator(m, "breve", "bosonic"))
         _require(_rel(trace.final_product, permanent_ryser(m)) <= 1e-9,
                  f"final product, seed={seed}")
-        texts = [s.text for s in trace.rounds[0].basis]
-        x = trace.rounds[0].operator[texts.index("110"), texts.index("001")]
+        codes = trace.rounds[0].basis.tolist()
+        x = trace.rounds[0].operator[codes.index(0b110), codes.index(0b001)]
         x_expected = (w[1, 0] * w[2, 1] + w[1, 1] * w[2, 0]) / w[2, 2]
         _require(_rel(x, x_expected) <= 1e-10, f"fill weight, seed={seed}")
 
@@ -198,9 +199,15 @@ def _n4_bosonic_kernel(w):
     return [v0011, v0101, *closing]
 
 
+def _labels(codes) -> list[str]:
+    """The labels of n=4 states."""
+    return [format(c, "04b") for c in codes.tolist()]
+
+
 def _edges(state):
-    """Nonzero operator entries keyed by (source, target) label."""
-    return {(s.text, t.text): w for s, t, w in state.edges()}
+    """Nonzero operator entries of an n=4 round keyed by (source, target) label."""
+    src, dst, weight = state.edges()
+    return dict(zip(zip(_labels(src), _labels(dst)), weight.tolist()))
 
 
 N4_REWEIGHTED_EDGES = {
@@ -244,7 +251,7 @@ def criterion_7b() -> None:
         m = random_matrix(4, seed, "complex_gaussian")
         trace = reduce_fully(SpinOperator(m, "breve", "bosonic"))
         round1 = trace.rounds[0]
-        removed = [s.text for s in round1.removed]
+        removed = _labels(round1.removed)
         _require(removed == ["0011", "0101", "0111", "1011", "1101"],
                  f"removed {removed}, seed={seed}")
         expected = _n4_bosonic_kernel(m.entries)
@@ -258,7 +265,7 @@ def criterion_7b() -> None:
                  f"fill stats {stats}, seed={seed}")
 
         old, new = _edges(trace.initial), _edges(round1)
-        kept = {s.text for s in round1.basis}
+        kept = set(_labels(round1.basis))
         old_kept = {e for e in old if e[0] in kept and e[1] in kept}
         _require(len(old_kept) == 16 and old_kept <= set(new),
                  f"old edges among kept states, seed={seed}")
@@ -285,6 +292,42 @@ def criterion_8() -> None:
                      f"reduced path count at n={n} seed={seed}")
 
 
+def removed_per_level(n: int, statistics: str) -> dict[tuple[int, int], int]:
+    """The closed form of how many states round r removes at level h, as {(r, h): count}.
+
+    Fermionic round r removes C(n-r, h-1) states at level h, h = 1..n-r.
+    Bosonic round r removes C(n, i) - C(n, i-1) states at level n-r-i+1,
+    i = 1..ceil((n-r)/2).
+    """
+    counts = {}
+    for r in range(1, n):
+        m = n - r
+        if statistics == "fermionic":
+            counts.update({(r, h): math.comb(m, h - 1) for h in range(1, m + 1)})
+        else:
+            counts.update({(r, m - i + 1): math.comb(n, i) - math.comb(n, i - 1)
+                           for i in range(1, (m + 1) // 2 + 1)})
+    return counts
+
+
+def removed_by(trace) -> collections.Counter:
+    """How many states each round of a reduction removed at each level, as {(r, h): count}."""
+    return collections.Counter((st.round, h) for st in trace.rounds
+                               for h in np.bitwise_count(st.removed).tolist())
+
+
+def criterion_10() -> None:
+    """Kernel dimensions in closed form, n=3..8: each round removes
+    C(n-r, h-1) fermionic states at level h, and C(n,i) - C(n,i-1) bosonic
+    states at level n-r-i+1.  Exact counts, no tolerance."""
+    for n in range(3, 9):
+        m = random_matrix(n, 1, "complex_gaussian")
+        for stats in ("bosonic", "fermionic"):
+            removed = removed_by(reduce_fully(SpinOperator(m, "breve", stats)))
+            _require(removed == removed_per_level(n, stats),
+                     f"removed per level at n={n} {stats}: {dict(removed)}")
+
+
 CHECKS = {
     "criterion_1": criterion_1,
     "criterion_2": criterion_2,
@@ -295,6 +338,7 @@ CHECKS = {
     "criterion_7a": criterion_7a,
     "criterion_7b": criterion_7b,
     "criterion_8": criterion_8,
+    "criterion_10": criterion_10,
 }
 
 

@@ -1,4 +1,4 @@
-"""Acceptance criteria: 1-8 from the table in ``spinperm.selftest``, plus 9.
+"""Acceptance criteria: 1-8 and 10 from the table in ``spinperm.selftest``, plus 9.
 
 Run as ``pytest tests/test_acceptance.py -v`` to see one line per criterion.
 """

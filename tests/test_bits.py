@@ -1,24 +1,29 @@
 import numpy as np
 import pytest
 
-from spinperm import BasisState, RangeError, bits
+from spinperm import RangeError, SpinOperator, bits, graph_from_operator, random_matrix
+from spinperm.operator import edges
+
+
+def _operator(n):
+    return SpinOperator(random_matrix(n, 0), "breve", "bosonic")
 
 
 def test_mask_text_roundtrip():
     # site 0 is the leftmost character: sites {0, 2} of n=4 render "1010",
     # and site s occupies code bit n-1-s
     code = 0b1010  # bits 3 and 1
-    assert BasisState(code, 4).text == "1010"
-    assert BasisState.from_text("1010").code == code
-    for bad in ("1020", "+101", "1_01", ""):
-        with pytest.raises(ValueError):
-            BasisState.from_text(bad)
+    op = _operator(4)
+    assert graph_from_operator(op).node_by_id(f"v{code}").label == "1010"
+    src, dst, _, site, *_ = edges(op)
+    # into 1010: site 0 raised from 0010, site 2 from 1000
+    assert sorted(zip(site[dst == code].tolist(), src[dst == code].tolist())) == [
+        (0, 0b0010), (2, 0b1000)]
 
 
 def test_code_is_label_as_binary():
     # "001" (site 2 occupied) reads as the number 1
-    assert BasisState.from_text("001").code == 1
-    assert BasisState(1, 3).text == "001"
+    assert graph_from_operator(_operator(3)).node_by_id("v1").label == "001"
 
 
 @pytest.mark.parametrize("n,h", [(4, 0), (4, 2), (4, 4), (6, 3), (1, 1)])

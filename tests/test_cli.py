@@ -555,7 +555,7 @@ def test_unwritable_output_is_input_error(runner, tmp_path, argv):
 def test_selftest_reports_lines(runner):
     result = runner.invoke(main, ["selftest"])
     lines = result.output.strip().splitlines()
-    assert len(lines) == len(selftest.CHECKS) == 9
+    assert len(lines) == len(selftest.CHECKS) == 10
     assert all(ln.startswith("PASS ") for ln in lines)
     assert result.exit_code == 0
 
@@ -639,4 +639,4 @@ def test_star_import_exports_every_public_name():
         " sum(name in dir(spinperm) for name in names))\n"
     )
     count, imported, listed = map(int, out.split())
-    assert count == imported == listed == 60
+    assert count == imported == listed == 57

@@ -82,6 +82,19 @@ def test_a_minus_zero_weight_prints_as_zero():
     assert [e["weight"] for e in g.to_json_dict()["edges"]] == ["0.0"]
 
 
+def test_an_unchanged_edge_prints_alike_in_every_round():
+    # v1 -> sink keeps the input's weight -0+1i: at round 0 the product 1 * w,
+    # whose real part is -0, and at round 1 an entry of B @ A, whose real part
+    # is +0; both print 0.0
+    op = SpinOperator(parse_matrix("-0-0i,-0+1i\n-0+1i,-0-0i"), "breve", "bosonic")
+    trace = reduce_fully(op)
+    weights = [{(e["source"], e["target"]): e["weight"]
+                for e in graph_from_reduction(trace, r).to_json_dict()["edges"]}[("v1", "sink")]
+               for r in (0, 1)]
+    assert weights == ["0.0+1.0i", "0.0+1.0i"]
+    assert format_complex(-0.0) == "0.0"
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
 def test_reduction_readers_are_the_round_edges(n, statistics):
@@ -93,15 +106,15 @@ def test_reduction_readers_are_the_round_edges(n, statistics):
     for r, state in enumerate(trace.rounds, start=1):
         op = state.operator
         targets, sources = np.nonzero(np.abs(op) > rref.zero_threshold(op))
-        edges = state.edges()
-        assert [(s.code, t.code, w) for s, t, w in edges] == [
-            (state.basis[j].code, state.basis[i].code, complex(op[i, j]))
-            for i, j in zip(targets, sources)]
+        edges = list(zip(*(a.tolist() for a in state.edges())))
+        assert edges == [(state.basis[j], state.basis[i], complex(op[i, j]))
+                         for i, j in zip(targets, sources)]
         g = graph_from_reduction(trace, r)
         assert sorted((e.source, e.target, e.weight) for e in g.edges) == sorted(
-            (f"v{s.code}", f"v{t.code}" if t.code else g.sink_id, w) for s, t, w in edges)
-    cycle = [{"source": s.text, "target": t.text, "weight": format_complex(w)}
-             for s, t, w in trace.rounds[-1].edges()]
+            (f"v{s}", f"v{t}" if t else g.sink_id, w) for s, t, w in edges)
+    cycle = [{"source": format(s, f"0{n}b"), "target": format(t, f"0{n}b"),
+              "weight": format_complex(w)}
+             for s, t, w in zip(*(a.tolist() for a in trace.rounds[-1].edges()))]
     assert trace.to_json_dict()["final_cycle"] == sorted(cycle, key=lambda e: e["source"])
     assert len(cycle) == n
 

@@ -5,13 +5,10 @@ import pytest
 
 from conftest import rel_err
 from spinperm import (
-    BasisState,
     ExactComplex,
     LevelMismatchError,
     LevelVector,
-    OccupiedSiteError,
     OpCount,
-    RangeError,
     SizeGuardError,
     SpinOperator,
     SquareMatrix,
@@ -20,7 +17,7 @@ from spinperm import (
     dense_operator,
     determinant_gauss,
     evaluate,
-    jw_sign,
+    graph_from_operator,
     orbit,
     permanent_naive,
     permanent_ryser,
@@ -32,31 +29,33 @@ from spinperm.operator import embed_level_vector
 
 
 def idx_of(text):
-    return BasisState.from_text(text).code
+    return int(text, 2)
+
+
+def label(code, n=3):
+    return format(code, f"0{n}b")
 
 
 def test_basis_state_rendering():
-    s = BasisState.from_text("1010")
-    assert s.code == 0b1010
-    assert s.level == 2
-    assert s.text == "1010"
-    assert BasisState(s.code, 4) == s
+    # a state is its code: its label is the code in n binary digits, site 0
+    # leftmost, and its level the number of ones
+    g = graph_from_operator(SpinOperator(random_matrix(4, 0), "breve", "bosonic"))
+    for node in g.nodes:
+        if node.id != g.sink_id:
+            assert node.label == label(int(node.id[1:]), 4)
+            assert node.level == node.label.count("1")
+    assert g.node_by_id(f"v{0b1010}").label == "1010"
 
 
 def test_jw_sign_examples():
-    # |010>, create at site 0: one particle to the right -> -1
-    assert jw_sign(BasisState.from_text("010"), 0) == -1
-    # |100>, create at site 1: nothing to the right -> +1
-    assert jw_sign(BasisState.from_text("100"), 1) == 1
-    # empty string: always +1
-    assert jw_sign(BasisState.from_text("000"), 2) == 1
-
-
-def test_jw_sign_occupied():
-    with pytest.raises(OccupiedSiteError):
-        jw_sign(BasisState.from_text("010"), 1)
-    with pytest.raises(RangeError):
-        jw_sign(BasisState.from_text("010"), 3)
+    # the sign of creating at site s is odd with the occupied sites right of
+    # s, the set code bits below bit n-1-s
+    # |010>, create at site 0: one particle to the right -> odd
+    assert bits.parity_below(idx_of("010"), 1 << 2) == 1
+    # |100>, create at site 1: nothing to the right -> even
+    assert bits.parity_below(idx_of("100"), 1 << 1) == 0
+    # empty string: always even
+    assert bits.parity_below(idx_of("000"), 1 << 0) == 0
 
 
 def test_apply_level_from_vacuum(m3):
@@ -64,7 +63,7 @@ def test_apply_level_from_vacuum(m3):
     out = apply_level(op, LevelVector.vacuum(3))
     # level-1 amplitudes land on (100, 010, 001) in label order
     codes = bits.level_codes(3, 1).tolist()
-    by_text = {BasisState(c, 3).text: out.amplitudes[i]
+    by_text = {label(c): out.amplitudes[i]
                for i, c in enumerate(codes)}
     w = m3.entries
     assert rel_err(by_text["100"], w[0, 0]) < 1e-14
@@ -76,11 +75,11 @@ def test_apply_level_fermionic_signs(m3):
     op = SpinOperator(m3, "breve", "fermionic")
     amps = np.zeros(3, dtype=np.complex128)
     codes = bits.level_codes(3, 1).tolist()
-    texts = [BasisState(c, 3).text for c in codes]
+    texts = [label(c) for c in codes]
     amps[texts.index("010")] = 1.0
     out = apply_level(op, LevelVector(3, 1, amps))
     codes2 = bits.level_codes(3, 2).tolist()
-    texts2 = [BasisState(c, 3).text for c in codes2]
+    texts2 = [label(c) for c in codes2]
     w = m3.entries
     assert rel_err(out.amplitudes[texts2.index("110")], -w[1, 0]) < 1e-14
     assert rel_err(out.amplitudes[texts2.index("011")], w[1, 2]) < 1e-14
@@ -91,10 +90,10 @@ def test_apply_level_identity_weights(identity3):
     op = SpinOperator(identity3, "breve", "bosonic")
     amps = np.zeros(3, dtype=np.complex128)
     codes = bits.level_codes(3, 1).tolist()
-    texts = [BasisState(c, 3).text for c in codes]
+    texts = [label(c) for c in codes]
     amps[texts.index("100")] = 1.0
     out = apply_level(op, LevelVector(3, 1, amps))
-    texts2 = [BasisState(c, 3).text for c in bits.level_codes(3, 2).tolist()]
+    texts2 = [label(c) for c in bits.level_codes(3, 2).tolist()]
     expected = np.zeros(3, dtype=np.complex128)
     expected[texts2.index("110")] = 1.0
     assert np.allclose(out.amplitudes, expected)
@@ -120,7 +119,7 @@ def test_apply_level_level_guard(m3):
 def test_apply_closing_examples(m3):
     w = m3.entries
     amps = np.zeros(3, dtype=np.complex128)
-    texts = [BasisState(c, 3).text for c in bits.level_codes(3, 2).tolist()]
+    texts = [label(c) for c in bits.level_codes(3, 2).tolist()]
     a, b, c = 1.7 - 0.3j, 0.2 + 1.1j, -0.8 + 0.5j
     amps[texts.index("110")] = a
     amps[texts.index("101")] = b

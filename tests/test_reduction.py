@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import itertools
 import math
@@ -17,7 +16,6 @@ from spinperm import (
     random_matrix,
 )
 from spinperm import (
-    BasisState,
     ConsistencyError,
     ZeroPermanentError,
     ZeroPivotError,
@@ -33,12 +31,35 @@ from spinperm.reduction import (
     kernel_basis,
     reduce_fully,
 )
-from spinperm.selftest import N4_BOSONIC_FILL_ENTRIES, N4_BOSONIC_FILL_STATS
+from spinperm.selftest import (
+    N4_BOSONIC_FILL_ENTRIES,
+    N4_BOSONIC_FILL_STATS,
+    removed_by,
+    removed_per_level,
+)
 from spinperm.spectral import build_eigenvector, generalized_kernel_ranks, principal_root
 
 
-def texts_of(states):
-    return [s.text for s in states]
+def texts_of(codes, n):
+    """Labels of state codes on n sites."""
+    return [format(c, f"0{n}b") for c in np.asarray(codes).tolist()]
+
+
+def idx(text):
+    return int(text, 2)
+
+
+def factor_ba(state, prev):
+    """B and A of a round, rebuilt as ``factor_round`` builds them from the
+    round's input operator ``prev``: B is the identity less each kernel
+    vector at its lead, without the lead rows, and A the kept columns of
+    ``prev``."""
+    d = len(prev)
+    leads = rref.leading_index(state.kernel_vectors)
+    b = np.eye(d, dtype=np.complex128)
+    b[:, leads] -= state.kernel_vectors.T
+    keep = np.delete(np.arange(d), leads)
+    return b[keep], prev[:, keep]
 
 
 def test_kernel_basis_fermionic_n3(m3):
@@ -47,12 +68,9 @@ def test_kernel_basis_fermionic_n3(m3):
     vs = kernel_basis(dense_operator(op))
     assert len(vs) == 3
     leads = [rref.leading_index(v) for v in vs]
-    from spinperm import BasisState
-
-    assert [BasisState(c, 3).text for c in leads] == ["001", "011", "101"]
+    assert texts_of(leads, 3) == ["001", "011", "101"]
     # first vector: |001> + (w11/w12)|010> + (w10/w12)|100>
     v1 = vs[0]
-    idx = lambda t: BasisState.from_text(t).code
     assert rel_err(v1[idx("010")], w[1, 1] / w[1, 2]) < 1e-10
     assert rel_err(v1[idx("100")], w[1, 0] / w[1, 2]) < 1e-10
     assert rel_err(vs[1][idx("110")], -w[2, 0] / w[2, 2]) < 1e-10
@@ -63,11 +81,7 @@ def test_kernel_basis_bosonic_n3(m3):
     w = m3.entries
     op = SpinOperator(m3, "breve", "bosonic")
     vs = kernel_basis(dense_operator(op))
-    from spinperm import BasisState
-
-    leads = [BasisState(rref.leading_index(v), 3).text for v in vs]
-    assert leads == ["011", "101"]
-    idx = lambda t: BasisState.from_text(t).code
+    assert texts_of([rref.leading_index(v) for v in vs], 3) == ["011", "101"]
     assert rel_err(vs[0][idx("110")], -w[2, 0] / w[2, 2]) < 1e-10
     assert rel_err(vs[1][idx("110")], -w[2, 1] / w[2, 2]) < 1e-10
 
@@ -76,9 +90,6 @@ def test_kernel_basis_uniform_weight_ratios():
     # equal weights make both correction ratios w20/w22 = w21/w22 = 1
     m = SquareMatrix.from_array(np.ones((3, 3)))
     vs = kernel_basis(dense_operator(SpinOperator(m, "breve", "bosonic")))
-    from spinperm import BasisState
-
-    idx = lambda t: BasisState.from_text(t).code
     assert rel_err(vs[0][idx("110")], -1) < 1e-12
     assert rel_err(vs[1][idx("110")], -1) < 1e-12
 
@@ -91,9 +102,9 @@ def test_factor_round_fermionic_n3(m3):
     w = m3.entries
     op = SpinOperator(m3, "breve", "fermionic")
     state = factor_round(initial_state(op))
-    assert texts_of(state.removed) == ["001", "011", "101"]
-    assert texts_of(state.basis) == ["000", "010", "100", "110"]
-    t = {s.text: i for i, s in enumerate(state.basis)}
+    assert texts_of(state.removed, 3) == ["001", "011", "101"]
+    assert texts_of(state.basis, 3) == ["000", "010", "100", "110"]
+    t = {s: i for i, s in enumerate(texts_of(state.basis, 3))}
     opm = state.operator
     w00p = w[0, 0] - w[0, 2] * w[1, 0] / w[1, 2]
     w01p = w[0, 1] - w[0, 2] * w[1, 1] / w[1, 2]
@@ -106,17 +117,18 @@ def test_factor_round_fermionic_n3(m3):
     assert rel_err(opm[t["000"], t["110"]], w[2, 2]) < 1e-12
     # A.B reconstructs, B annihilates the kernel
     prev = dense_operator(op)
-    assert np.max(np.abs(state.A @ state.B - prev)) < 1e-10 * np.max(np.abs(prev))
+    b, a = factor_ba(state, prev)
+    assert np.max(np.abs(a @ b - prev)) < 1e-10 * np.max(np.abs(prev))
     for v in state.kernel_vectors:
-        assert np.linalg.norm(state.B @ v) < 1e-10 * np.linalg.norm(v)
+        assert np.linalg.norm(b @ v) < 1e-10 * np.linalg.norm(v)
 
 
 def test_factor_round_bosonic_n3_x_weight(m3):
     w = m3.entries
     op = SpinOperator(m3, "breve", "bosonic")
     state = factor_round(initial_state(op))
-    assert texts_of(state.removed) == ["011", "101"]
-    t = {s.text: i for i, s in enumerate(state.basis)}
+    assert texts_of(state.removed, 3) == ["011", "101"]
+    t = {s: i for i, s in enumerate(texts_of(state.basis, 3))}
     x = (w[1, 0] * w[2, 1] + w[1, 1] * w[2, 0]) / w[2, 2]
     assert rel_err(state.operator[t["110"], t["001"]], x) < 1e-10
     w10p = w[1, 0] + w[1, 2] * w[2, 0] / w[2, 2]
@@ -129,7 +141,7 @@ def test_factor_round_bosonic_n3_x_weight(m3):
 def test_factor_round_bosonic_n4():
     m = random_matrix(4, 9, "complex_gaussian")
     state = factor_round(initial_state(SpinOperator(m, "breve", "bosonic")))
-    assert texts_of(state.removed) == ["0011", "0101", "0111", "1011", "1101"]
+    assert texts_of(state.removed, 4) == ["0011", "0101", "0111", "1011", "1101"]
     # the closed-form kernel forces these figures; see their definition
     assert state.fill_stats == N4_BOSONIC_FILL_STATS
     assert sum(state.fill_stats) == N4_BOSONIC_FILL_ENTRIES
@@ -137,8 +149,8 @@ def test_factor_round_bosonic_n4():
 
 def test_reduce_fully_fermionic(m3):
     trace = reduce_fully(SpinOperator(m3, "breve", "fermionic"))
-    assert texts_of(trace.rounds[0].removed) == ["001", "011", "101"]
-    assert texts_of(trace.rounds[1].removed) == ["010"]
+    assert texts_of(trace.rounds[0].removed, 3) == ["001", "011", "101"]
+    assert texts_of(trace.rounds[1].removed, 3) == ["010"]
     assert rel_err(trace.final_product, determinant_gauss(m3)) < 1e-9
     w = m3.entries
     w00p = w[0, 0] - w[0, 2] * w[1, 0] / w[1, 2]
@@ -183,7 +195,7 @@ def test_fermionic_no_fill_in(n):
 
 def test_nullity_drains_to_zero(m3):
     trace = reduce_fully(SpinOperator(m3, "breve", "bosonic"))
-    assert rref.nullity(trace.final_operator) == 0
+    assert rref.nullity(trace.final.operator) == 0
     removed = sum(len(st.removed) for st in trace.rounds)
     assert removed == 2**3 - 1 - 3
 
@@ -207,7 +219,7 @@ def test_each_round_removes_its_kernel_count(statistics):
         # the states removed are the geometric kernel of the round's input
         assert len(state.removed) == rref.nullity(prev)
         prev = state.operator
-    assert rref.nullity(trace.final_operator) == 0
+    assert rref.nullity(trace.final.operator) == 0
 
 
 def test_factorization_reconstructs_every_round():
@@ -215,9 +227,8 @@ def test_factorization_reconstructs_every_round():
     trace = reduce_fully(SpinOperator(m, "breve", "bosonic"))
     prev = trace.initial.operator
     for state in trace.rounds:
-        if state.B is None:
-            continue
-        assert np.max(np.abs(state.A @ state.B - prev)) < 1e-9 * np.max(np.abs(prev))
+        b, a = factor_ba(state, prev)
+        assert np.max(np.abs(a @ b - prev)) < 1e-9 * np.max(np.abs(prev))
         prev = state.operator
 
 
@@ -231,9 +242,9 @@ def test_spectrum_preserved_by_pushforward():
 
     for k in range(4):
         lam = cmath.exp(-2j * cmath.pi * k / 4) * root
-        phi = build_eigenvector(op, k, P)
+        phi, prev = build_eigenvector(op, k, P), trace.initial.operator
         for state in trace.rounds:
-            phi = state.B @ phi
+            phi, prev = factor_ba(state, prev)[0] @ phi, state.operator
             resid = np.linalg.norm(state.operator @ phi - lam * phi)
             assert resid <= 1e-8 * np.linalg.norm(phi)
 
@@ -309,7 +320,7 @@ def test_fermionic_matches_gaussian_sees_a_corrupted_round(monkeypatch):
     # scale the edge 00000 -> 10000 of round 2 (w''_{0,0}), not the final product
     matrix = random_matrix(5, 8, "complex_gaussian")
     trace = reduce_fully(SpinOperator(matrix, "breve", "fermionic"))
-    codes = [s.code for s in trace.rounds[1].basis]
+    codes = trace.rounds[1].basis.tolist()
     trace.rounds[1].operator[codes.index(0b10000), codes.index(0)] *= 1 + 1e-6
     monkeypatch.setattr(reduction, "reduce_fully", lambda op: trace)
     rep = fermionic_matches_gaussian(matrix)
@@ -359,7 +370,7 @@ def test_fermionic_rounds_are_the_elimination_rounds(kind, n, seed):
     trace = reduce_fully(SpinOperator(matrix, "breve", "fermionic"))
     for r, state in enumerate(trace.rounds, start=1):
         codes, edges = elimination_round(matrix, r)
-        assert [s.code for s in state.basis] == codes
+        assert state.basis.tolist() == codes
         index = {code: i for i, code in enumerate(codes)}
         expected = np.zeros_like(state.operator)
         for (target, source), weight in edges.items():
@@ -402,8 +413,8 @@ SHIFT3 = np.eye(3, k=-1)
 
 
 def _three_state_round(operator, round=0):
-    basis = [BasisState(code, 2) for code in range(3)]
-    return ReductionState(round=round, operator=operator.astype(np.complex128), basis=basis)
+    return ReductionState(round=round, operator=operator.astype(np.complex128),
+                          basis=np.arange(3))
 
 
 @pytest.mark.parametrize("operator, rows, error, message", [
@@ -470,9 +481,9 @@ def test_factor_round_passes_a_full_rank_operator_through():
     out = factor_round(state)
     assert out.round == 3
     assert np.array_equal(out.operator, state.operator) and out.operator is not state.operator
-    assert out.basis == state.basis and out.basis is not state.basis
+    assert np.array_equal(out.basis, state.basis) and out.basis is not state.basis
     assert len(out.kernel_vectors) == 0
-    assert (out.B, out.A, out.removed, out.fill_stats) == (None, None, [], (0, 0, 0))
+    assert len(out.removed) == 0 and out.fill_stats == (0, 0, 0)
 
 
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
@@ -483,12 +494,15 @@ def test_round_matches_the_per_vector_loop(statistics):
         old, state = state, factor_round(state)
         op, d = old.operator, old.operator.shape[0]
         leads = [rref.leading_index(v) for v in state.kernel_vectors]
-        assert texts_of(state.removed) == [old.basis[lead].text for lead in leads]
+        assert state.removed.tolist() == [old.basis[lead] for lead in leads]
         keep = [i for i in range(d) if i not in leads]
+        assert state.basis.tolist() == [old.basis[i] for i in keep]
         b = np.eye(d, dtype=np.complex128)
         for v, lead in zip(state.kernel_vectors, leads):
             b[:, lead] -= v
-        assert np.array_equal(state.B, b[keep, :]) and np.array_equal(state.A, op[:, keep])
+        rebuilt_b, rebuilt_a = factor_ba(state, op)
+        assert np.array_equal(rebuilt_b, b[keep, :]) and np.array_equal(rebuilt_a, op[:, keep])
+        assert np.array_equal(state.operator, b[keep, :] @ op[:, keep])
         stats = [0, 0, 0]
         old_kept = op[np.ix_(keep, keep)]
         for t, s in zip(*rref.support(state.operator)):
@@ -532,28 +546,6 @@ def test_zero_value_stops_before_the_first_round():
                                match=f"row reduction assumes a nonzero {name}"):
                 reduce_fully(op)
     assert zeros == {"bosonic": 265, "fermionic": 338}
-
-
-def removed_per_level(n, statistics):
-    """The closed form of how many states round r removes at level h, as {(r, h): count}.
-
-    Fermionic round r removes C(n-r, h-1) states at level h, h = 1..n-r.
-    Bosonic round r removes C(n, i) - C(n, i-1) states at level n-r-i+1,
-    i = 1..ceil((n-r)/2).
-    """
-    counts = {}
-    for r in range(1, n):
-        m = n - r
-        if statistics == "fermionic":
-            counts.update({(r, h): math.comb(m, h - 1) for h in range(1, m + 1)})
-        else:
-            counts.update({(r, m - i + 1): math.comb(n, i) - math.comb(n, i - 1)
-                           for i in range(1, (m + 1) // 2 + 1)})
-    return counts
-
-
-def removed_by(trace):
-    return collections.Counter((st.round, s.level) for st in trace.rounds for s in st.removed)
 
 
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
