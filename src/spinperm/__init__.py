@@ -38,7 +38,7 @@ _EXPORTS = {
         "AbpEdge", "AbpGraph", "AbpNode", "count_paths", "export_dot", "graph_from_operator",
         "graph_from_reduction", "parse_dot", "path_sum",
     ),
-    "bench": ("BenchRow", "bench_suite", "rows_to_csv", "ryser_op_count"),
+    "bench": ("bench_suite",),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

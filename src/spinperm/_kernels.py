@@ -1,8 +1,9 @@
 """The sweep's numeric kernel: one level raise in numpy, on the block layout.
 
-Amplitudes are complex128 (float backend) or objects holding ExactComplex
-(exact backend); both run the same plan, with the same numpy calls, and
-only the dtype differs.
+Amplitudes are complex128 (float backend) or Python objects (exact
+backend); both run the same plan, with the same numpy calls, and only the
+dtype differs: the kernel adds and multiplies amplitudes and weights and
+never makes a scalar of its own.
 
 Kernels work in "code" space: bit ``p`` of a basis code is the occupation
 of site ``n-1-p``.  ``wbits[p]`` must hold the weight for raising the site
@@ -27,7 +28,7 @@ Tiles: no chunk of a pull gathers more than ``_PULL_ELEMENTS`` amplitudes.
 A chunk takes whole terms for all destinations while one term's gather
 fits, and otherwise one term for a tile of destinations.  So the raise's
 scratch is fixed whatever the block size, and every destination still
-sums its terms in term order from the dtype's zero (``_ZERO``).
+sums its terms in term order, starting from its first term.
 
 Jordan-Wigner sign: a table carries each term's odd mask from
 ``bits.raise_edges`` on its own b or t bits, folded into ``sbit``, so a
@@ -50,7 +51,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import bits
-from .exact import EXACT_ZERO
 
 # perfbench's environment block reads these two names.
 HAVE_NUMBA = False
@@ -78,11 +78,6 @@ _PULL_ELEMENTS = 1 << 14
 # shapes, at most two entries per block, for the n <= 28 the size guard
 # lets a sweep reach.  Keyed by b as well, as ``bits._level_blocks`` is.
 _PLANS: dict[tuple[int, int, int], tuple] = {}
-
-
-# Where a fresh pull's sum starts, by amplitude dtype: 0.0 as ``sum`` starts
-# a float sum, and the exact zero, which an ExactComplex can be added to.
-_ZERO = {np.dtype(np.complex128): 0.0, np.dtype(object): EXACT_ZERO}
 
 
 def kernel_name() -> str:
@@ -182,7 +177,6 @@ def _raise(src, amps, wbits, fermionic, size: int):
     else:  # the low bits, then the top bits under an even and an odd low-bit count
         top = _weights(wbits[b:], fermionic)
         weights = (_weights(wbits[:b], fermionic), top, -top if fermionic else top)
-    zero = _ZERO[amps.dtype]
     out = np.empty(size, dtype=amps.dtype)  # every destination has a fresh chunk
     for s, d, shape, into, transposed, at, chunks in plan:
         a, o, w = amps[s], out[d], weights[at]
@@ -191,14 +185,13 @@ def _raise(src, amps, wbits, fermionic, size: int):
             if transposed:
                 a, o = a.T, o.T
         # o[d] += sum_i w[index[i, d]] * a[pos[i, d]], gathering along axis 0
-        # and summing in term order from ``zero``, as ``sum`` does; a
-        # transposed view's rows are not contiguous, so ``take`` would copy
-        # it whole
+        # and summing in term order; a transposed view's rows are not
+        # contiguous, so ``take`` would copy it whole
         for lo, hi, index, pos, fresh in chunks:
             t = a[pos] if transposed else a.take(pos, axis=0)
             t *= w.take(index[fermionic])
             if fresh:
-                np.add.reduce(t, axis=0, out=o[lo:hi], initial=zero)
+                np.add.reduce(t, axis=0, out=o[lo:hi])
             else:
                 o[lo:hi] += t[0] if len(t) == 1 else t.sum(axis=0)
     return out

@@ -1,61 +1,35 @@
-"""Benchmark harness: counted operations and wall times for both methods."""
+"""Benchmark harness: wall times of the sweep and Ryser's formula in complex128.
+
+Both methods run on the same complex Gaussian matrix in complex128, timed
+interleaved (sweep, Ryser, sweep, Ryser, ...).  Ryser is the Gray-code walk
+of ``oracles`` called on the matrix's own entries, so no precision switch
+reaches the timing.  Ryser's walk in long double runs once per n, untimed,
+as the reference for each row's relative error.
+"""
 
 from __future__ import annotations
 
+import os
+import platform
 import time
-from dataclasses import dataclass
 
-from .errors import ConsistencyError, SizeGuardError
+import numpy as np
+
+from .errors import SizeGuardError
 from .matrix import random_matrix
-from .operator import OpCount, SpinOperator, evaluate, spin_op_count
-from .oracles import permanent_ryser
+from .operator import SpinOperator, evaluate
+from .oracles import ryser_walk
 
 BENCH_MAX_N = 26
 
 
-def ryser_op_count(n: int) -> OpCount:
-    """Counted cost of Ryser under subset-extension accounting.
+def bench_suite(n_min: int, n_max: int, repeats: int = 3, seed: int = 0) -> dict:
+    """The environment and one row per (n, method), ready for ``json.dumps``.
 
-    Every multi-column subset derives its row sums from a parent subset by
-    adding one column (n additions); singleton subsets are column copies;
-    each subset product takes n-1 multiplications and each accumulation one
-    addition after the first.  The total is n*2**(n+1) - (n+1)**2.
-    """
-    mults = (n - 1) * ((1 << n) - 1)
-    adds = n * ((1 << n) - 1 - n) + ((1 << n) - 2)
-    return OpCount(mults, adds)
-
-
-@dataclass
-class BenchRow:
-    n: int
-    method: str
-    ops: int
-    median_ns: int
-
-
-def rows_to_csv(rows: list[BenchRow]) -> str:
-    lines = ["n,method,ops,median_ns"]
-    for row in rows:
-        lines.append(f"{row.n},{row.method},{row.ops},{row.median_ns}")
-    return "\n".join(lines) + "\n"
-
-
-def _median_ns(fn, repeats: int) -> int:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        times.append(time.perf_counter_ns() - start)
-    times.sort()
-    return times[len(times) // 2]
-
-
-def bench_suite(n_min: int, n_max: int, repeats: int = 3, seed: int = 0) -> list[BenchRow]:
-    """Per-n operation counts and median wall times for both methods.
-
-    The spin count is read from an actual sweep and must equal n*2**n; the
-    Ryser count is the closed form.
+    A row holds the median and interquartile range of ``repeats`` wall
+    times in seconds and the relative error against long-double Ryser.
+    The sweep's row also holds its counted operations, ``evaluate``'s
+    tally; Ryser's ``ops`` is None, since nothing counts them.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
@@ -65,17 +39,31 @@ def bench_suite(n_min: int, n_max: int, repeats: int = 3, seed: int = 0) -> list
     for n in range(n_min, n_max + 1):
         matrix = random_matrix(n, seed, "complex_gaussian")
         op = SpinOperator(matrix, "breve", "bosonic")
-        _, count = evaluate(op)
-        if count.total != spin_op_count(n).total:
-            raise ConsistencyError(
-                f"spin sweep counted {count.total} ops at n={n}, expected {n * 2 ** n}"
-            )
-        spin_ns = _median_ns(lambda: evaluate(op), repeats)
-        rows.append(BenchRow(n, "spin", count.total, spin_ns))
-        ryser_ns = _median_ns(lambda: permanent_ryser(matrix), repeats)
-        expected = n * (1 << (n + 1)) - (n + 1) ** 2
-        counted = ryser_op_count(n).total
-        if counted != expected:
-            raise ConsistencyError(f"Ryser counter {counted} at n={n}, expected {expected}")
-        rows.append(BenchRow(n, "ryser", counted, ryser_ns))
-    return rows
+        reference = ryser_walk(matrix.entries.astype(np.clongdouble))
+        _, count = evaluate(op)  # untimed: builds the layout's tables once
+        runs = {"sweep": lambda: evaluate(op)[0], "ryser": lambda: ryser_walk(matrix.entries)}
+        times = {method: [] for method in runs}
+        values = {}
+        for _ in range(repeats):
+            for method, run in runs.items():
+                start = time.perf_counter()
+                values[method] = run()
+                times[method].append(time.perf_counter() - start)
+        for method, ops in (("sweep", count.total), ("ryser", None)):
+            q1, median, q3 = np.percentile(times[method], [25, 50, 75])
+            rows.append({"n": n, "method": method, "dtype": str(matrix.entries.dtype),
+                         "ops": ops, "median_s": float(median), "iqr_s": float(q3 - q1),
+                         "rel_err": float(abs(reference - values[method]) / abs(reference))})
+    return {
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+        "kind": "complex_gaussian",
+        "seed": seed,
+        "repeats": repeats,
+        "rows": rows,
+    }

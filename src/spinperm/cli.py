@@ -358,8 +358,8 @@ def graph(input_path, gen_spec, variant, statistics, output, format, round_,
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output
 def bench(min_n, max_n, repeats, seed, output):
-    """Operation counts and median wall times as CSV."""
-    from .bench import BENCH_MAX_N, bench_suite, rows_to_csv
+    """Wall times of the sweep and Ryser in complex128 as JSON."""
+    from .bench import BENCH_MAX_N, bench_suite
 
     if max_n > BENCH_MAX_N or min_n < 1 or min_n > max_n:
         raise click.UsageError(f"need 1 <= min-n <= max-n <= {BENCH_MAX_N}")
@@ -367,7 +367,8 @@ def bench(min_n, max_n, repeats, seed, output):
         raise click.UsageError(f"need --repeats >= 1, got {repeats}")
     if seed < 0:
         raise click.UsageError(f"need --seed >= 0, got {seed}")
-    _emit(output, rows_to_csv(bench_suite(min_n, max_n, repeats=repeats, seed=seed)))
+    _emit(output, json.dumps(bench_suite(min_n, max_n, repeats=repeats, seed=seed),
+                             indent=2) + "\n")
 
 
 @main.command()

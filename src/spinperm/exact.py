@@ -49,9 +49,6 @@ class ExactComplex:
             (self.im * other.re - self.re * other.im) / denom,
         )
 
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -18,6 +18,7 @@ single code is ``2**n - 1``; its one amplitude is the value.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -164,13 +165,23 @@ def _check_sweep_size(n: int) -> None:
     # the two middle levels plus the raise's fixed scratch: one chunk's
     # gather and its sum, each at most _PULL_ELEMENTS complex128.  The limit
     # lets n <= 28 through, so every code fits bits' 31 bits.
-    need = _STATE_BYTES * bits.binom(n, n // 2) + 2 * 16 * _kernels._PULL_ELEMENTS
-    if need > SWEEP_MAX_BYTES:
-        # Decimal, not float: from n = 1054 on, need / 2**30 overflows a double
-        raise SizeGuardError(
-            f"a sweep at n={n} needs about {Decimal(need) / 2**30:.2g} GiB for its "
-            f"middle levels; the limit is {SWEEP_MAX_BYTES >> 30} GiB"
-        )
+    if n > bits._CODE_BITS:
+        # log space: the exact C(n, n/2) takes seconds from n = 10**6 on;
+        # Decimal prints the figure, which overflows a double from n = 1054
+        k = n // 2
+        log10_gib = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                     + math.log(_STATE_BYTES / 2**30)) / math.log(10)
+        e = math.floor(log10_gib)
+        gib = Decimal(f"{10 ** (log10_gib - e):.6f}E{e}")
+    else:
+        need = _STATE_BYTES * bits.binom(n, n // 2) + 2 * 16 * _kernels._PULL_ELEMENTS
+        if need <= SWEEP_MAX_BYTES:
+            return
+        gib = Decimal(need) / 2**30
+    raise SizeGuardError(
+        f"a sweep at n={n} needs about {gib:.2g} GiB for its "
+        f"middle levels; the limit is {SWEEP_MAX_BYTES >> 30} GiB"
+    )
 
 
 def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) -> LevelVector:

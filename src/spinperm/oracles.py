@@ -59,8 +59,9 @@ def permanent_naive(matrix: SquareMatrix):
     return total
 
 
-def _ryser_np(a: np.ndarray):
-    """Ryser's sum on ``a``'s dtype: complex128, clongdouble or object (ExactComplex)."""
+def ryser_walk(a: np.ndarray):
+    """Ryser's sum by a Gray-code walk (Nijenhuis and Wilf, 1978) in ``a``'s
+    dtype: complex128, clongdouble or object (ExactComplex)."""
     n = a.shape[0]
     nsub = (1 << n) - 1
     zero = EXACT_ZERO if a.dtype == object else a.dtype.type(0)
@@ -89,9 +90,9 @@ def permanent_ryser(matrix: SquareMatrix):
     if n > RYSER_MAX_N:
         raise SizeGuardError(f"Ryser permanent limited to n <= {RYSER_MAX_N}")
     if matrix.backend == "exact":
-        return _ryser_np(matrix.entries)
+        return ryser_walk(matrix.entries)
     dtype = np.clongdouble if n >= RYSER_EXTENDED_MIN_N else np.complex128
-    return complex(_ryser_np(matrix.entries.astype(dtype)))
+    return complex(ryser_walk(matrix.entries.astype(dtype)))
 
 
 def determinant_gauss(matrix: SquareMatrix):

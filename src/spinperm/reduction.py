@@ -87,7 +87,7 @@ class ReductionTrace:
                 {
                     "round": st.round,
                     "removed": [format(c, f"0{n}b") for c in st.removed.tolist()],
-                    "dimension": st.operator.shape[0],
+                    "dimension": len(st.basis),
                     "fill_stats": {
                         "reweighted": reweighted,
                         "unchanged": unchanged,

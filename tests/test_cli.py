@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -303,17 +304,15 @@ def test_output_file(runner, tmp_path):
     assert json.loads(out.read_text())["total_ops"] == 24
 
 
-def test_bench_csv(runner):
+def test_bench_json(runner):
     result = invoke(runner, ["bench", "--min-n", "2", "--max-n", "4",
                              "--repeats", "1"])
     assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
-    assert lines[0] == "n,method,ops,median_ns"
-    rows = [ln.split(",") for ln in lines[1:]]
-    spin = {int(r[0]): int(r[2]) for r in rows if r[1] == "spin"}
-    ryser = {int(r[0]): int(r[2]) for r in rows if r[1] == "ryser"}
-    assert spin == {2: 8, 3: 24, 4: 64}
-    assert ryser == {2: 7, 3: 32, 4: 103}
+    rows = json.loads(result.output)["rows"]
+    assert {(r["n"], r["method"], r["dtype"]) for r in rows} == {
+        (n, m, "complex128") for n in (2, 3, 4) for m in ("sweep", "ryser")}
+    assert {r["n"]: r["ops"] for r in rows if r["method"] == "sweep"} == {2: 8, 3: 24, 4: 64}
+    assert all(r["rel_err"] <= 1e-12 for r in rows)
 
 
 def test_bench_range_guard(runner):
@@ -361,6 +360,18 @@ def test_gen_refuses_a_size_before_generating_it(runner, no_generator, command):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"] == "SizeGuardError"
+
+
+def test_gen_refuses_a_huge_size_at_once(runner, no_generator):
+    # refused without the exact C(n, n/2), which has about 3e8 digits here
+    start = time.perf_counter()
+    result = runner.invoke(main, ["perm", "--gen", "n=1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "SizeGuardError"
+    assert "n=1000000000 needs about 4.3e+301029983 GiB" in error["message"]
 
 
 def test_gen_guard_passes_the_largest_sweep(runner, no_generator):
@@ -639,4 +650,4 @@ def test_star_import_exports_every_public_name():
         " sum(name in dir(spinperm) for name in names))\n"
     )
     count, imported, listed = map(int, out.split())
-    assert count == imported == listed == 57
+    assert count == imported == listed == 54

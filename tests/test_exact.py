@@ -39,9 +39,3 @@ def test_zero_factor_gives_the_exact_zero():
     # the product the four Fraction products give
     assert EXACT_ZERO == ExactComplex(zero.re * x.re - zero.im * x.im,
                                       zero.re * x.im + zero.im * x.re)
-
-
-def test_conjugate():
-    a = ExactComplex.of(2, 5)
-    assert a.conjugate() == ExactComplex.of(2, -5)
-    assert (a * a.conjugate()).im == 0
