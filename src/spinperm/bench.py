@@ -58,6 +58,7 @@ def bench_suite(n_min: int, n_max: int, repeats: int = 3, seed: int = 0) -> dict
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "longdouble_mantissa_bits": int(np.finfo(np.longdouble).nmant),
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),

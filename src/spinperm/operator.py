@@ -162,22 +162,17 @@ _STATE_BYTES = 2 * (np.dtype(np.complex128).itemsize + np.dtype(bits._LEVEL_DTYP
 
 @functools.cache  # keyed by the n <= 28 that pass; a refusal is not cached
 def _check_sweep_size(n: int) -> None:
-    # the two middle levels plus the raise's fixed scratch: one chunk's
-    # gather and its sum, each at most _PULL_ELEMENTS complex128.  The limit
-    # lets n <= 28 through, so every code fits bits' 31 bits.
-    if n > bits._CODE_BITS:
-        # log space: the exact C(n, n/2) takes seconds from n = 10**6 on;
-        # Decimal prints the figure, which overflows a double from n = 1054
-        k = n // 2
-        log10_gib = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                     + math.log(_STATE_BYTES / 2**30)) / math.log(10)
-        e = math.floor(log10_gib)
-        gib = Decimal(f"{10 ** (log10_gib - e):.6f}E{e}")
-    else:
-        need = _STATE_BYTES * bits.binom(n, n // 2) + 2 * 16 * _kernels._PULL_ELEMENTS
-        if need <= SWEEP_MAX_BYTES:
-            return
-        gib = Decimal(need) / 2**30
+    # the two middle levels, in log space: the exact C(n, n/2) takes seconds
+    # from n = 10**6 on, and Decimal prints the figure, which overflows a
+    # double from n = 1054.  The limit lets n <= 28 through, so every code
+    # fits bits' 31 bits.
+    k = n // 2
+    log10_gib = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + math.log(_STATE_BYTES / 2**30)) / math.log(10)
+    if log10_gib <= math.log10(SWEEP_MAX_BYTES / 2**30):
+        return
+    e = math.floor(log10_gib)
+    gib = Decimal(f"{10 ** (log10_gib - e):.6f}E{e}")
     raise SizeGuardError(
         f"a sweep at n={n} needs about {gib:.2g} GiB for its "
         f"middle levels; the limit is {SWEEP_MAX_BYTES >> 30} GiB"

@@ -18,7 +18,8 @@ def test_bench_n10_spin_ops():
 def test_bench_suite_rows():
     report = bench_suite(1, 10, repeats=3)
     assert report["repeats"] == 3
-    assert set(report["environment"]) >= {"numpy", "cpu_count", "OPENBLAS_NUM_THREADS"}
+    assert set(report["environment"]) >= {"numpy", "longdouble_mantissa_bits", "cpu_count",
+                                          "OPENBLAS_NUM_THREADS"}
     rows = report["rows"]
     # one row per (n, method), both methods in complex128
     assert [(r["n"], r["method"]) for r in rows] == [
