@@ -5,6 +5,12 @@ canonical form, removes the basis states at the leading coordinates, and
 replaces the operator by ``B @ A`` where ``A . B`` reconstructs it.  After
 n-1 rounds the (2**n - 1)-dimensional operator collapses to a full-rank
 n-state cycle whose entry product is the permanent or determinant.
+
+A fermionic round is the spin operator of one round of fixed-order Gaussian
+elimination (``oracles.lower_triangular_reduce``), so on a generic input
+``reduce_fully`` builds it from the eliminated matrix instead
+(``elimination_round``); ``reduce_by_kernels`` always finds the kernels and
+is the check of that equivalence.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from . import bits, rref
 from .errors import ConsistencyError, SizeGuardError, ZeroPermanentError, ZeroPivotError
 from .matrix import SquareMatrix, format_complex
-from .operator import SpinOperator, dense_operator, evaluate
+from .operator import SpinOperator, dense_operator, edges, evaluate
 from .oracles import determinant_gauss, lower_triangular_reduce
 
 REDUCE_MAX_N = 10
@@ -24,6 +30,9 @@ FACTOR_REL_TOL = 1e-10
 UNCHANGED_REL_TOL = 1e-12
 GAUSSIAN_ENTRY_TOL = 1e-10
 GAUSSIAN_PRODUCT_TOL = 1e-9
+# how far above rref's zero threshold every entry of an elimination round must
+# lie for ``reduce_fully`` to build the fermionic rounds from the elimination
+ELIMINATION_MARGIN = 1e3
 
 
 def kernel_basis(operator: np.ndarray) -> np.ndarray:
@@ -41,9 +50,10 @@ def kernel_basis(operator: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ReductionState:
-    """Output of one factorization round (round 0 is the unreduced operator):
+    """Output of one reduction round (round 0 is the unreduced operator):
     ``basis`` holds the codes of the operator's states, in index order, and
-    ``removed`` the codes the round deleted, in kernel-vector order."""
+    ``removed`` the codes the round deleted, in ascending order.  A round
+    built from the elimination has no ``kernel_vectors``."""
 
     round: int
     operator: np.ndarray
@@ -168,8 +178,65 @@ def _validate_final(n: int, final: ReductionState) -> None:
         raise ConsistencyError("final cycle does not step one level at a time")
 
 
-def reduce_fully(op: SpinOperator) -> ReductionTrace:
-    """Run n-1 factorization rounds down to the n-state cycle.
+def _eliminated(matrix: SquareMatrix) -> list[np.ndarray] | None:
+    """E_0..E_{n-1} of fixed-order elimination when the input is generic
+    enough for them to be the fermionic reduction rounds, else None.
+
+    Generic: the elimination divides by no zero, and in each round r every
+    entry the round's operator carries (E_r's leading m x m block, m = n-r,
+    and the tail weights E_r[m+j, m+j]) is finite and above
+    ``ELIMINATION_MARGIN`` times the zero threshold ``rref`` would apply to
+    that operator.  A sufficient condition found by measurement, not proof:
+    on every such input tried, the kernel rounds had the leads and the
+    removed states the elimination predicts.
+    """
+    try:
+        rounds = lower_triangular_reduce(matrix)
+    except ZeroPivotError:
+        return None
+    for r, e in enumerate(rounds):
+        m = matrix.n - r
+        carried = np.concatenate([e[:m, :m].ravel(), np.diagonal(e)[m:]])
+        if not np.isfinite(carried).all():
+            return None
+        mag = np.abs(carried)
+        if mag.min() <= ELIMINATION_MARGIN * rref.zero_threshold(mag):
+            return None
+    return rounds
+
+
+def elimination_round(state: ReductionState, eliminated: np.ndarray) -> ReductionState:
+    """Fermionic round r = ``state.round + 1`` from E_r, the matrix after r
+    rounds of fixed-order elimination, not from a kernel.
+
+    With m = n-r, the round's states are the codes with their low r bits
+    clear and the tail states 1^(m+j)0^(r-j), j = 1..r-1.  Its edges are the
+    tilde fermionic operator of E_r's leading m x m block, codes shifted left
+    by r bits, whose unit return edge gives way to the tail edges
+    1^(m+j)0^(r-j) -> 1^(m+j+1)0^(r-j-1) of weights E_r[m+j, m+j], the last
+    closing onto the empty state.  ``removed`` comes in ascending code order,
+    and there are no kernel vectors.
+    """
+    n, r = len(eliminated), state.round + 1
+    m = n - r
+    block = SpinOperator(SquareMatrix.from_array(eliminated[:m, :m]), "tilde", "fermionic")
+    src, dst, *_, weight = edges(block)
+    k = np.arange(m, n + 1)
+    tail = ((1 << k) - 1) << (n - k)  # 1^k 0^(n-k); 1^n is the empty state
+    tail[-1] = 0
+    src, dst = np.concatenate([src << r, tail[:-1]]), np.concatenate([dst << r, tail[1:]])
+    basis = np.concatenate([np.arange(1 << m) << r, tail[1:-1]])  # ascending
+    operator = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    operator[np.searchsorted(basis, dst), np.searchsorted(basis, src)] = np.concatenate(
+        [weight, np.diagonal(eliminated)[m:]])
+    keep = np.searchsorted(state.basis, basis)
+    return ReductionState(
+        round=r, operator=operator, basis=basis, removed=np.delete(state.basis, keep),
+        fill_stats=_fill_stats(state.operator, operator, keep))
+
+
+def _unreduced(op: SpinOperator) -> ReductionTrace:
+    """A trace with no rounds yet, past the variant, size and zero-value checks.
 
     The cycle's entry product is the value, so a zero value has no cycle to
     reach: it raises ``ZeroPermanentError`` before the first round.
@@ -180,10 +247,30 @@ def reduce_fully(op: SpinOperator) -> ReductionTrace:
     if complex(evaluate(op)[0]) == 0:
         name = "permanent" if op.statistics == "bosonic" else "determinant"
         raise ZeroPermanentError(f"row reduction assumes a nonzero {name}")
-    trace = ReductionTrace(source_operator=op, initial=state, rounds=[])
+    return ReductionTrace(source_operator=op, initial=state, rounds=[])
+
+
+def reduce_by_kernels(op: SpinOperator) -> ReductionTrace:
+    """Run n-1 factorization rounds (``factor_round``) down to the n-state cycle."""
+    trace = _unreduced(op)
     for _ in range(op.n - 1):
-        state = factor_round(state)
-        trace.rounds.append(state)
+        trace.rounds.append(factor_round(trace.final))
+    _validate_final(op.n, trace.final)
+    return trace
+
+
+def reduce_fully(op: SpinOperator) -> ReductionTrace:
+    """Run n-1 rounds down to the n-state cycle.
+
+    A fermionic input that ``_eliminated`` finds generic gets its rounds
+    from the elimination (``elimination_round``); every other input, and
+    every bosonic one, gets ``reduce_by_kernels``' rounds.
+    """
+    trace = _unreduced(op)
+    eliminated = _eliminated(op.matrix) if op.fermionic else None
+    for r in range(1, op.n):
+        trace.rounds.append(factor_round(trace.final) if eliminated is None
+                            else elimination_round(trace.final, eliminated[r]))
     _validate_final(op.n, trace.final)
     return trace
 
@@ -233,7 +320,7 @@ def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
     final product is compared with the determinant.
     """
     op = SpinOperator(matrix.to_float(), "breve", "fermionic")
-    trace = reduce_fully(op)
+    trace = reduce_by_kernels(op)
     det = complex(determinant_gauss(matrix.to_float()))
     final_err = abs(trace.final_product - det) / max(abs(det), 1.0)
     report = GaussianComparison(

@@ -1,7 +1,10 @@
 """The sweep's block layout (``bits.block_codes``, ``_kernels``), on both backends."""
 
 import json
+import math
+import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -260,6 +263,31 @@ def test_cli_size_guard_exits_1(command):
 def test_size_guard_beyond_float_range(n):
     # from n = 1054 on the middle level's size in GiB is beyond a double
     with pytest.raises(SizeGuardError, match=f"n={n} needs about .* GiB"):
+        operator._check_sweep_size(n)
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _stirling_log_factorial(x: int) -> Decimal:
+    """ln x! by Stirling's series, in 60-digit Decimal."""
+    x = Decimal(x)
+    return (x * x.ln() - x + (2 * _PI * x).ln() / 2 + 1 / (12 * x) - 1 / (360 * x**3)
+            + 1 / (1260 * x**5))
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**18])
+def test_size_guard_figure_at_huge_n(n):
+    # log10 of C(n, n/2) * 40 bytes in GiB, against Stirling in Decimal
+    with localcontext(prec=60):
+        k = n // 2
+        ln_gib = (_stirling_log_factorial(n) - _stirling_log_factorial(k)
+                  - _stirling_log_factorial(n - k) + Decimal(40 / 2**30).ln())
+        log10_gib = ln_gib / Decimal(10).ln()
+        assert abs(operator._log10_sweep_gib(n) - log10_gib) < Decimal("1e-12")
+        e = math.floor(log10_gib)
+        gib = Decimal(f"{Decimal(10) ** (log10_gib - e)}E{e}")
+    with pytest.raises(SizeGuardError, match=re.escape(f"n={n} needs about {gib:.2g} GiB")):
         operator._check_sweep_size(n)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_err
 from spinperm import (
@@ -12,11 +14,13 @@ from spinperm import (
     determinant_gauss,
     evaluate,
     lower_triangular_reduce,
+    parse_complex_literal,
     permanent_ryser,
     random_matrix,
 )
 from spinperm import (
     ConsistencyError,
+    SpinpermError,
     ZeroPermanentError,
     ZeroPivotError,
     reduction,
@@ -29,6 +33,7 @@ from spinperm.reduction import (
     fermionic_matches_gaussian,
     initial_state,
     kernel_basis,
+    reduce_by_kernels,
     reduce_fully,
 )
 from spinperm.selftest import (
@@ -319,10 +324,10 @@ def test_fermionic_matches_gaussian_on_every_3x3_zero_one_input():
 def test_fermionic_matches_gaussian_sees_a_corrupted_round(monkeypatch):
     # scale the edge 00000 -> 10000 of round 2 (w''_{0,0}), not the final product
     matrix = random_matrix(5, 8, "complex_gaussian")
-    trace = reduce_fully(SpinOperator(matrix, "breve", "fermionic"))
+    trace = reduce_by_kernels(SpinOperator(matrix, "breve", "fermionic"))
     codes = trace.rounds[1].basis.tolist()
     trace.rounds[1].operator[codes.index(0b10000), codes.index(0)] *= 1 + 1e-6
-    monkeypatch.setattr(reduction, "reduce_fully", lambda op: trace)
+    monkeypatch.setattr(reduction, "reduce_by_kernels", lambda op: trace)
     rep = fermionic_matches_gaussian(matrix)
     assert not rep.ok
     assert [c["name"] for c in rep.comparisons if not c["ok"]] == ["w''_{0,0}"]
@@ -365,9 +370,10 @@ def elimination_round(matrix, r):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fermionic_rounds_are_the_elimination_rounds(kind, n, seed):
-    # generic inputs only: on degenerate ones the kernel may pick other leads
+    # the kernel rounds, on generic inputs only: on degenerate ones the
+    # kernel may pick other leads
     matrix = random_matrix(n, seed, kind)
-    trace = reduce_fully(SpinOperator(matrix, "breve", "fermionic"))
+    trace = reduce_by_kernels(SpinOperator(matrix, "breve", "fermionic"))
     for r, state in enumerate(trace.rounds, start=1):
         codes, edges = elimination_round(matrix, r)
         assert state.basis.tolist() == codes
@@ -377,6 +383,71 @@ def test_fermionic_rounds_are_the_elimination_rounds(kind, n, seed):
             expected[index[target], index[source]] = weight
         scale = np.max(np.abs(state.operator))
         assert np.max(np.abs(state.operator - expected)) <= 1e-9 * scale
+
+
+def _outcome(reduce, op):
+    """A reduction's JSON trace, or its refusal's type and message."""
+    try:
+        return reduce(op).to_json_dict()
+    except SpinpermError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_reduction(op):
+    """``reduce_fully`` against the kernel rounds: the same refusal, or the
+    same removed sets, dimensions, fill statistics and final-cycle edges,
+    with weights and the final product within 1e-9 relative."""
+    fast, kernel = _outcome(reduce_fully, op), _outcome(reduce_by_kernels, op)
+    if isinstance(kernel, tuple) or isinstance(fast, tuple):
+        assert fast == kernel
+        return
+    assert fast["rounds"] == kernel["rounds"]
+    ends = [[(e["source"], e["target"]) for e in doc["final_cycle"]] for doc in (fast, kernel)]
+    assert ends[0] == ends[1]
+    for e, e0 in zip(fast["final_cycle"], kernel["final_cycle"]):
+        assert rel_err(parse_complex_literal(e["weight"]),
+                       parse_complex_literal(e0["weight"])) <= 1e-9
+    assert rel_err(parse_complex_literal(fast["final_product"]),
+                   parse_complex_literal(kernel["final_product"])) <= 1e-9
+
+
+GENERIC = [(n, kind, seed) for n in range(2, 9) for kind in ("complex_gaussian", "real_uniform")
+           for seed in range(3)]
+GENERIC += [(9, "complex_gaussian", 0), (9, "real_uniform", 0), (10, "complex_gaussian", 1)]
+
+
+@pytest.mark.parametrize("n, kind, seed", GENERIC)
+def test_reduce_fully_eliminates_a_generic_input_as_the_kernels_do(n, kind, seed):
+    matrix = random_matrix(n, seed, kind)
+    assert reduction._eliminated(matrix) is not None
+    assert_same_reduction(SpinOperator(matrix, "breve", "fermionic"))
+
+
+def test_reduce_fully_falls_back_on_every_3x3_zero_one_input():
+    # every 0/1 input has a zero entry or a zero determinant: the kernel
+    # rounds run, so the outcome is the kernel rounds' own
+    for code in range(512):
+        entries = [[code >> (3 * r + c) & 1 for c in range(3)] for r in range(3)]
+        matrix = SquareMatrix.from_array(entries)
+        assert reduction._eliminated(matrix) is None
+        op = SpinOperator(matrix, "breve", "fermionic")
+        assert _outcome(reduce_fully, op) == _outcome(reduce_by_kernels, op)
+
+
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["complex_gaussian", "real_uniform"]),
+       cuts=st.lists(st.tuples(st.integers(0, 35), st.sampled_from([0.0, 1e-12, 1e-10, 1e-9,
+                                                                   3e-9, 1e-8, 1e-7, 1e-6,
+                                                                   1e-5])),
+                     min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_reduce_fully_agrees_near_the_zero_threshold(n, seed, kind, cuts):
+    # structural zeros, and entries scaled to near rref's zero threshold:
+    # each input takes either path, and both give the kernel rounds' outcome
+    entries = random_matrix(n, seed, kind).entries.copy()
+    for cell, scale in cuts:
+        entries.flat[cell % n**2] *= scale
+    assert_same_reduction(SpinOperator(SquareMatrix.from_array(entries), "breve", "fermionic"))
 
 
 def test_trace_json(m3):
@@ -390,7 +461,9 @@ def test_trace_json(m3):
 
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
 def test_one_elimination_per_kernel_basis(monkeypatch, statistics):
-    # the counts perfbench's rref.rref_calls row reads for reduce and graph
+    # the counts perfbench's rref.rref_calls row reads for reduce and graph:
+    # one per kernel round, and none on a generic fermionic input, whose
+    # rounds come from the elimination
     calls = []
 
     def counting(a, _fn=rref.rref):
@@ -403,8 +476,11 @@ def test_one_elimination_per_kernel_basis(monkeypatch, statistics):
     kernel_basis(dense_operator(op))
     assert len(calls) == 1
     calls.clear()
-    reduce_fully(op)
+    reduce_by_kernels(op)
     assert len(calls) == n - 1
+    calls.clear()
+    reduce_fully(op)
+    assert len(calls) == (n - 1 if statistics == "bosonic" else 0)
 
 
 # the 3x3 zero operator and the shift e0 -> e1 -> e2, whose kernel is e2
