@@ -10,8 +10,8 @@ from importlib import import_module
 # module -> the public names it defines
 _EXPORTS = {
     "errors": (
-        "BlockStructureError", "ConsistencyError", "LevelMismatchError", "ParseError",
-        "RangeError", "SizeGuardError", "SpectralMismatchError", "SpinpermError",
+        "BlockStructureError", "ConsistencyError", "LevelMismatchError", "NonFiniteError",
+        "ParseError", "RangeError", "SizeGuardError", "SpectralMismatchError", "SpinpermError",
         "ZeroPermanentError", "ZeroPivotError",
     ),
     "exact": ("ExactComplex",),

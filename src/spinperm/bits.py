@@ -8,11 +8,10 @@ labels sorted as binary numbers (``000 < 001 < 010 < ...``).  The sweep, on
 both backends, holds a level in *block order* (``block_codes``), which is
 ascending order for n <= ``BLOCK_CUTOVER_N``.
 
-``level_codes`` enumerates one Hamming level with Pascal's rule, one bit at
-a time (Knuth, TAOCP 4A §7.2.1.3): O(n·h) numpy calls per level, no
-recursion.  ``shared_level_codes`` keeps each level on up to 15 bits once
-per process, read-only; the block layout and ``_kernels``' pull tables read
-their codes from it, so a sweep of n <= 15 costs no enumeration after the
+``level_codes`` enumerates one Hamming level on at most 15 bits as the
+popcount filter of all 2**n codes.  ``shared_level_codes`` keeps each such
+level once per process, read-only; the block layout and ``_kernels``' pull
+tables read their codes from it, so a sweep costs no enumeration after the
 first.  ``raise_edges`` is the one definition of the operator's raising
 rule, one flat edge table that every reader indexes: an edge raises an
 empty bit p of its source, and its Jordan-Wigner sign is odd when an odd
@@ -28,9 +27,10 @@ columns (low bit) or whole rows (top bit), by tables over b or t bits:
 each destination column or row pulls from its predecessors (``_kernels``).
 
 Codes are int32 (``_LEVEL_DTYPE``), so a code holds at most 31 bits:
-``level_codes`` and ``block_codes`` raise ``RangeError`` above that rather
-than wrap.  The sweep's size guard stops at n <= 28, so every level it
-holds fits, at 4 bytes a state beside its amplitude's 16.
+``block_codes`` raises ``RangeError`` above that rather than wrap, and
+``level_codes`` above 15 bits.  The sweep's size guard stops at n <= 28, so
+every level it holds fits, at 4 bytes a state beside its amplitude's 16,
+and every block layout's halves have at most 14 bits.
 """
 
 from __future__ import annotations
@@ -63,52 +63,30 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_code_bits(n: int) -> None:
-    if n > _CODE_BITS:
-        raise RangeError(f"level codes hold at most {_CODE_BITS} bits, not n={n}")
-
-
-def level_codes(n: int, h: int) -> np.ndarray:
-    """All weight-h codes on n bits, ascending.
-
-    Pascal's rule, one bit at a time: the weight-k codes on the low m bits
-    are the weight-k codes on m-1 bits, then the weight-(k-1) codes with bit
-    m-1 set.  Every code of the first part is below every code of the
-    second, so the concatenation stays sorted.  Only the weights that can
-    still reach h with the n-m bits left are kept.
-    """
-    _check_code_bits(n)
-    if h < 0 or h > n:
-        return np.empty(0, dtype=_LEVEL_DTYPE)
-    empty = np.empty(0, dtype=_LEVEL_DTYPE)
-    by_weight = {0: np.zeros(1, dtype=_LEVEL_DTYPE)}  # weight -> codes on m bits
-    for m in range(1, n + 1):
-        bit = 1 << (m - 1)
-        by_weight = {
-            k: np.concatenate([by_weight.get(k, empty), by_weight[k - 1] | bit])
-            if k else by_weight[0]
-            for k in range(max(0, h - (n - m)), min(m, h) + 1)
-        }
-    return by_weight[h]
-
-
-# (n, h) -> level_codes(n, h), read-only, for n <= _SHARED_MAX_BITS = 15:
-# at most 2**16 codes (512 KB) in all.  Block layouts and raise tables never
-# need more than max(BLOCK_CUTOVER_N, (n+1)//2) <= 15 bits under the size
-# guard.
+# Widest level ``level_codes`` enumerates: 2**15 candidate codes (128 KB),
+# and at most 2**16 codes (256 KB) shared in all.  One block (b = n) and each
+# half of a split layout under the size guard must fit within it.
 _SHARED_MAX_BITS = 15
+assert BLOCK_CUTOVER_N <= _SHARED_MAX_BITS
 _SHARED: dict[tuple[int, int], np.ndarray] = {}
 
 
+def level_codes(n: int, h: int) -> np.ndarray:
+    """All weight-h codes on n <= 15 bits, ascending: the popcount filter of
+    0..2**n-1."""
+    if n > _SHARED_MAX_BITS:
+        raise RangeError(f"level codes are enumerated on at most {_SHARED_MAX_BITS} bits, "
+                         f"not n={n}")
+    codes = np.arange(1 << n, dtype=_LEVEL_DTYPE)
+    return codes[np.bitwise_count(codes) == h]
+
+
 def shared_level_codes(n: int, h: int) -> np.ndarray:
-    """``level_codes(n, h)``, built once per process and read-only up to 15 bits.
+    """``level_codes(n, h)``, built once per process and read-only.
 
     The block layout and ``_kernels``' raise tables share these arrays, so a
-    level is enumerated once however many sweeps read it.  Above 15 bits
-    each call builds a fresh array.
+    level is enumerated once however many sweeps read it.
     """
-    if n > _SHARED_MAX_BITS:
-        return level_codes(n, h)
     codes = _SHARED.get((n, h))
     if codes is None:
         codes = _SHARED[(n, h)] = level_codes(n, h)
@@ -143,11 +121,15 @@ def block_codes(n: int, h: int) -> np.ndarray:
     """All weight-h codes on n bits in block order (see the module docstring)."""
     if n <= BLOCK_CUTOVER_N:  # one block (b = n): ascending order
         return shared_level_codes(n, h)
-    _check_code_bits(n)
+    if n > _CODE_BITS:
+        raise RangeError(f"level codes hold at most {_CODE_BITS} bits, not n={n}")
     b = low_bits(n)
     out = np.empty(binom(n, h), dtype=_LEVEL_DTYPE)
     for j, start, rows, cols in level_blocks(n, h):  # each block written in place
-        np.bitwise_or((shared_level_codes(n - b, j) << b)[:, None], shared_level_codes(b, h - j),
+        # only n = 31, past the size guard, has 16 top bits: sort their own layout
+        top = (shared_level_codes(n - b, j) if n - b <= _SHARED_MAX_BITS
+               else np.sort(block_codes(n - b, j)))
+        np.bitwise_or((top << b)[:, None], shared_level_codes(b, h - j),
                       out=out[start:start + rows * cols].reshape(rows, cols))
     return out
 

@@ -31,6 +31,10 @@ class RangeError(SpinpermError):
     graph round."""
 
 
+class NonFiniteError(SpinpermError):
+    """A permanent or determinant has no finite double-precision value."""
+
+
 class ZeroPermanentError(SpinpermError):
     """Spectral construction or row reduction met a zero permanent/determinant."""
 

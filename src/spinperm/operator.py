@@ -25,7 +25,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from . import _kernels, bits
-from .errors import LevelMismatchError, SizeGuardError
+from .errors import LevelMismatchError, NonFiniteError, SizeGuardError
 from .exact import EXACT_ONE
 from .matrix import SquareMatrix
 
@@ -46,10 +46,6 @@ class OpCount:
     @property
     def total(self) -> int:
         return self.multiplications + self.additions
-
-    def tally_edges(self, edges: int) -> None:
-        self.multiplications += edges
-        self.additions += edges
 
 
 def spin_op_count(n: int) -> OpCount:
@@ -109,34 +105,28 @@ class LevelVector:
     ``amplitudes`` is a numpy array in block order (``bits.block_codes``),
     which is ascending code order for n <= ``bits.BLOCK_CUTOVER_N``:
     complex128 on the float backend, objects holding ExactComplex on the
-    exact one.  ``codes`` holds those states' int32 codes once they are
-    built, so a float state costs 16 bytes of amplitude and 4 of code; a
-    sweep hands each step's destination codes to the vector it returns, so
-    every level is enumerated once.  Left ``None``, they are built on first
-    use.  Vectors up to the cutover share their read-only codes with every
-    other sweep (``bits.shared_level_codes``).
+    exact one.  ``codes`` holds those states' int32 codes, so a float state
+    costs 16 bytes of amplitude and 4 of code; a sweep hands each step's
+    destination codes to the vector it returns, so every level is
+    enumerated once.  Left out, they are built (``bits.block_codes``) when
+    the vector is.  Vectors up to the cutover share their read-only codes
+    with every other sweep (``bits.shared_level_codes``).
     """
 
     n: int
     level: int
-    amplitudes: np.ndarray = field(default=None)
-    codes: np.ndarray | None = field(default=None, compare=False, repr=False)
+    amplitudes: np.ndarray
+    codes: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        expected = bits.binom(self.n, self.level)
-        if self.amplitudes is None:
-            raise ValueError("amplitudes required")
         self.amplitudes = np.asarray(self.amplitudes)
-        if len(self.amplitudes) != expected:
-            raise ValueError(
-                f"level {self.level} of n={self.n} needs {expected} amplitudes, "
-                f"got {len(self.amplitudes)}"
-            )
-        if self.codes is not None and len(self.codes) != expected:
-            raise ValueError(
-                f"level {self.level} of n={self.n} needs {expected} codes, "
-                f"got {len(self.codes)}"
-            )
+        if self.codes is None:
+            self.codes = bits.block_codes(self.n, self.level)
+        expected = bits.binom(self.n, self.level)
+        for name, values in (("amplitudes", self.amplitudes), ("codes", self.codes)):
+            if len(values) != expected:
+                raise ValueError(f"level {self.level} of n={self.n} needs {expected} {name}, "
+                                 f"got {len(values)}")
 
     @classmethod
     def vacuum(cls, n: int, backend: str = "float") -> "LevelVector":
@@ -147,12 +137,6 @@ class LevelVector:
     @property
     def is_exact(self) -> bool:
         return self.amplitudes.dtype == object
-
-
-def _level_codes(v: LevelVector) -> np.ndarray:
-    if v.codes is None:
-        v.codes = bits.block_codes(v.n, v.level)
-    return v.codes
 
 
 # bytes a middle-level state costs while two levels are live at once: an
@@ -200,7 +184,7 @@ def _check_sweep_size(n: int) -> None:
     )
 
 
-def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) -> LevelVector:
+def apply_level(op: SpinOperator, v: LevelVector) -> LevelVector:
     """One raising sweep: level h -> h+1, one fused multiply-add per edge."""
     n, top, fermionic, wbits = op._step
     h = v.level
@@ -208,15 +192,12 @@ def apply_level(op: SpinOperator, v: LevelVector, count: OpCount | None = None) 
         raise LevelMismatchError(
             f"apply_level expects level in [0, {top}) for variant {op.variant}, got {h}"
         )
-    src = _level_codes(v)
-    if count is not None:
-        count.tally_edges(len(src) * (n - h))
     dst = bits.block_codes(n, h + 1)
-    out = _kernels.apply_level(src, dst, v.amplitudes, wbits[h], fermionic)
+    out = _kernels.apply_level(v.codes, dst, v.amplitudes, wbits[h], fermionic)
     return LevelVector(n, h + 1, out, dst)
 
 
-def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None):
+def apply_closing(op: SpinOperator, v: LevelVector):
     """Closed-variant final step: level n-1 -> amplitude on the empty state.
 
     This is the raise into level n, whose single state is all-occupied;
@@ -227,22 +208,22 @@ def apply_closing(op: SpinOperator, v: LevelVector, count: OpCount | None = None
     n, _, fermionic, wbits = op._step
     if v.level != n - 1:
         raise LevelMismatchError(f"apply_closing expects level {n - 1}, got {v.level}")
-    if count is not None:
-        count.tally_edges(n)
-    return _kernels.apply_closing(_level_codes(v), v.amplitudes, wbits[n - 1], fermionic)
+    return _kernels.apply_closing(v.codes, v.amplitudes, wbits[n - 1], fermionic)
 
 
-def orbit(op: SpinOperator, count: OpCount | None = None):
+def orbit(op: SpinOperator):
     """Yield the powers of the operator on the empty state, p = 0..period-1.
 
-    Each is the level-p vector; at most two levels are live at once.  The
-    size guard runs before the first level is built.
+    Each is the level-p vector with its codes; at most two levels are live
+    at once.  The size guard runs before the first level is built.  A level
+    h vector is the source of ``len(amplitudes) * (n - h)`` edges, which is
+    what ``evaluate`` counts.
     """
     _check_sweep_size(op.n)
     v = LevelVector.vacuum(op.n, op.matrix.backend)
     for _ in range(op.period - 1):
         yield v
-        v = apply_level(op, v, count)
+        v = apply_level(op, v)
     yield v
 
 
@@ -254,13 +235,26 @@ def evaluate(op: SpinOperator):
     ``n * 2**n`` counted operations; the cyclic variant takes n+1 steps, the
     extra one being the unit-weight return edge.
     """
-    count = OpCount()
-    for v in orbit(op, count):
-        pass
+    tally = 0  # the edges out of each level, the closing's included
+    for v in orbit(op):
+        tally += len(v.amplitudes) * (op.n - v.level)
     if op.variant == "breve":
-        return apply_closing(op, v, count), count
-    count.tally_edges(1)  # the unit-weight return edge
-    return v.amplitudes.item(0), count
+        return apply_closing(op, v), OpCount(tally, tally)
+    tally += 1  # the unit-weight return edge
+    return v.amplitudes.item(0), OpCount(tally, tally)
+
+
+def finite_value(op: SpinOperator, value) -> complex:
+    """``evaluate``'s ``value`` for ``op`` as a complex; ``NonFiniteError``
+    where it has no finite double-precision value for a dense check to use."""
+    try:
+        value = complex(value)
+    except OverflowError:  # an exact value beyond the float range
+        value = complex(math.inf)
+    if not np.isfinite(value):
+        name = "determinant" if op.fermionic else "permanent"
+        raise NonFiniteError(f"{name} is not finite in double precision")
+    return value
 
 
 def edges(op: SpinOperator):
@@ -306,5 +300,5 @@ def dense_operator(op: SpinOperator) -> np.ndarray:
 def embed_level_vector(v: LevelVector, dimension: int) -> np.ndarray:
     """Place a level vector into the dense basis (index = code)."""
     out = np.zeros(dimension, dtype=np.complex128)
-    out[_level_codes(v)] = v.amplitudes
+    out[v.codes] = v.amplitudes
     return out

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bits, rref
+from . import rref
 from .errors import ConsistencyError, SizeGuardError, ZeroPermanentError, ZeroPivotError
 from .matrix import SquareMatrix, format_complex
-from .operator import SpinOperator, dense_operator, edges, evaluate
+from .operator import SpinOperator, dense_operator, edges, evaluate, finite_value
 from .oracles import determinant_gauss, lower_triangular_reduce
 
 REDUCE_MAX_N = 10
@@ -236,15 +236,18 @@ def elimination_round(state: ReductionState, eliminated: np.ndarray) -> Reductio
 
 
 def _unreduced(op: SpinOperator) -> ReductionTrace:
-    """A trace with no rounds yet, past the variant, size and zero-value checks.
+    """A trace with no rounds yet, past the variant, size and value checks.
 
     The cycle's entry product is the value, so a zero value has no cycle to
-    reach: it raises ``ZeroPermanentError`` before the first round.
+    reach: it raises ``ZeroPermanentError`` before the first round, and a
+    value that is not finite ``NonFiniteError``.
     """
     if op.variant != "breve":
         raise ValueError("row reduction is defined for the breve variant")
     state = initial_state(op)
-    if complex(evaluate(op)[0]) == 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as not finite
+        value = finite_value(op, evaluate(op)[0])
+    if value == 0:
         name = "permanent" if op.statistics == "bosonic" else "determinant"
         raise ZeroPermanentError(f"row reduction assumes a nonzero {name}")
     return ReductionTrace(source_operator=op, initial=state, rounds=[])
@@ -315,9 +318,10 @@ def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
     matrix's leading m x m block (m = n-r), codes shifted left by r bits.  So
     each entry ``w^(r)_{h,s}`` of ``elimination_entries`` is compared with
     every edge of round r that raises site s from level h of that m-site
-    operator, its Jordan-Wigner sign undone; an edge whose state the kernel
-    removed reads 0, and the comparison keeps the edge of largest error.  The
-    final product is compared with the determinant.
+    operator (``edges`` of its tilde fermionic operator), its Jordan-Wigner
+    sign undone; an edge whose state the kernel removed reads 0, and the
+    comparison keeps the edge of largest error.  The final product is
+    compared with the determinant.
     """
     op = SpinOperator(matrix.to_float(), "breve", "fermionic")
     trace = reduce_by_kernels(op)
@@ -330,17 +334,18 @@ def fermionic_matches_gaussian(matrix: SquareMatrix) -> GaussianComparison:
         determinant=det,
         final_rel_err=float(final_err),
     )
-    edges = []  # per round: site, source level and signed operator entry of each edge
+    rounds = []  # per round: site, source level and signed operator entry of each edge
     for r, state in enumerate(trace.rounds, start=1):
         m = matrix.n - r
-        bit, pos, raised, odd = bits.raise_edges(np.arange((1 << m) - 1), m)
+        block = SpinOperator(SquareMatrix.from_array(np.zeros((m, m))), "tilde", "fermionic")
+        src, dst, level, site, odd, _ = edges(block)  # the weights are E_r's, not read here
         index = np.full(1 << matrix.n, -1)
         index[state.basis] = np.arange(len(state.basis))
-        t, u = index[raised << r], index[pos << r]
+        t, u = index[dst << r], index[src << r]
         value = np.where((t < 0) | (u < 0), 0, state.operator[t, u])
-        edges.append((m - 1 - bit, np.bitwise_count(pos), np.where(odd, -value, value)))
+        rounds.append((site, level, np.where(odd, -value, value)))
     for r, h, s, name, eliminated, _ in elimination_entries(matrix):
-        site, level, value = edges[r - 1]
+        site, level, value = rounds[r - 1]
         values = value[(site == s) & (level == h)].tolist()
         rels = [abs(v - eliminated) / max(abs(v), abs(eliminated), 1e-300) for v in values]
         worst = int(np.argmax(rels))  # a nan counts as the largest

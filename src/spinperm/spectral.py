@@ -24,7 +24,14 @@ from .errors import (
     ZeroPermanentError,
 )
 from .matrix import format_complex
-from .operator import SpinOperator, dense_operator, embed_level_vector, evaluate, orbit
+from .operator import (
+    SpinOperator,
+    dense_operator,
+    embed_level_vector,
+    evaluate,
+    finite_value,
+    orbit,
+)
 
 SPECTRAL_MAX_N = 10
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -108,9 +115,10 @@ class SpectrumReport:
 
 
 def _prepare(op: SpinOperator) -> tuple[complex, np.ndarray]:
-    """The evaluated value, which must be nonzero, and the dense operator."""
+    """The evaluated value, which must be finite and nonzero, and the dense operator."""
     _guard(op)
-    P = complex(evaluate(op)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as not finite
+        P = finite_value(op, evaluate(op)[0])
     if P == 0:
         raise ZeroPermanentError("spectral claims assume a nonzero permanent")
     return P, dense_operator(op)

@@ -45,17 +45,25 @@ def test_level_codes_match_brute_force(n):
         assert codes.tolist() == expected
 
 
-def test_level_codes_hold_31_bits_and_refuse_more():
+def test_block_codes_hold_31_bits_and_refuse_more():
     # int32 codes: a 31-bit level is exact, a wider one raises, never wraps
     full = (1 << 31) - 1
-    assert bits.level_codes(31, 1).tolist() == [1 << p for p in range(31)]
+    assert sorted(bits.block_codes(31, 1).tolist()) == [1 << p for p in range(31)]
     below_full = sorted(full ^ (1 << p) for p in range(31))
-    assert bits.level_codes(31, 30).tolist() == below_full
     assert sorted(bits.block_codes(31, 30).tolist()) == below_full
-    for codes in (bits.level_codes, bits.block_codes):
-        for n in (32, 40):
-            with pytest.raises(RangeError, match=f"at most 31 bits, not n={n}"):
-                codes(n, 1)
+    for n in (32, 40):
+        with pytest.raises(RangeError, match=f"at most 31 bits, not n={n}"):
+            bits.block_codes(n, 1)
+
+
+@pytest.mark.parametrize("n", [16, 20, 31, 40])
+def test_level_codes_refuse_more_than_15_bits(n):
+    # the popcount filter enumerates all 2**n codes, so it stops at 15 bits
+    assert bits.level_codes(15, 1).tolist() == [1 << p for p in range(15)]
+    for codes in (bits.level_codes, bits.shared_level_codes):
+        with pytest.raises(RangeError, match=f"at most 15 bits, not n={n}"):
+            codes(n, 1)
+    assert (n, 1) not in bits._SHARED
 
 
 def test_parity_below():
@@ -88,6 +96,3 @@ def test_shared_level_codes_are_built_once_and_read_only():
     assert np.array_equal(codes, bits.level_codes(9, 4))
     with pytest.raises(ValueError):
         codes[0] = 0
-    wide = bits.shared_level_codes(16, 1)  # above 15 bits: built fresh, not kept
-    assert np.array_equal(wide, bits.level_codes(16, 1)) and wide.flags.writeable
-    assert (16, 1) not in bits._SHARED

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -441,6 +442,26 @@ def test_non_finite_result_exits_1(runner, tmp_path, command, rows, backend):
     assert json.loads(lines[0])["error"] == "non_finite"
 
 
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("command", [["reduce"], ["spectrum"], ["graph", "--round", "1"]],
+                         ids=["reduce", "spectrum", "graph_round"])
+def test_value_that_is_not_finite_exits_1_before_the_dense_checks(runner, tmp_path, command,
+                                                                  statistics):
+    # every entry 1e308: the permanent overflows to inf and the determinant
+    # to nan, reported as such, not as a failed round or rank
+    path = tmp_path / "m.csv"
+    path.write_text("1e308,1e308\n1e308,1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [*command, "--input", str(path),
+                                      "--statistics", statistics])
+    assert caught == []
+    assert (result.exit_code, result.stdout) == (1, "")
+    name = "permanent" if statistics == "bosonic" else "determinant"
+    assert json.loads(result.stderr) == {"error": "NonFiniteError",
+                                         "message": f"{name} is not finite in double precision"}
+
+
 def input_error(result) -> str:
     """The message of a JSON input error, the only output of an exit-2 run."""
     assert result.exit_code == 2
@@ -650,4 +671,4 @@ def test_star_import_exports_every_public_name():
         " sum(name in dir(spinperm) for name in names))\n"
     )
     count, imported, listed = map(int, out.split())
-    assert count == imported == listed == 54
+    assert count == imported == listed == 55

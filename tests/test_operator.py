@@ -99,13 +99,18 @@ def test_apply_level_identity_weights(identity3):
     assert np.allclose(out.amplitudes, expected)
 
 
-def test_apply_level_counts_edges(m3):
-    op = SpinOperator(m3, "breve", "bosonic")
-    count = OpCount()
-    v = apply_level(op, LevelVector.vacuum(3), count)
-    assert (count.multiplications, count.additions) == (3, 3)
-    apply_level(op, v, count)
-    assert (count.multiplications, count.additions) == (9, 9)
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("variant", ["breve", "tilde"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_evaluate_counts_edges(backend, variant, statistics):
+    # n*2**(n-1) edges, one multiplication and one addition each, and tilde's
+    # unit return edge; one-block sizes and, on floats, a split layout
+    sizes = (1, 3, 8, bits.BLOCK_CUTOVER_N + 2) if backend == "float" else (1, 3, 8)
+    for n in sizes:
+        op = SpinOperator(random_matrix(n, 4, "zero_one", backend=backend), variant, statistics)
+        _, count = evaluate(op)
+        edges = n * 2 ** (n - 1) + (variant == "tilde")
+        assert count == OpCount(edges, edges), n
 
 
 def test_apply_level_level_guard(m3):
@@ -398,22 +403,22 @@ def test_evaluate_calls_each_kernel_boundary_once_per_step(
 @pytest.mark.parametrize("backend", ["float", "exact"])
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
 def test_level_vector_without_codes_applies_the_same(backend, statistics):
-    n = 5
-    op = SpinOperator(random_matrix(n, 7, "zero_one", backend=backend), "breve", statistics)
-    levels = list(orbit(op))
-    for p in (0, 2, n - 1):
-        swept = levels[p]
-        by_hand = LevelVector(n, p, list(swept.amplitudes) if swept.is_exact
-                              else swept.amplitudes.copy())
-        assert by_hand.codes is None
-        if p < n - 1:
-            a, b = apply_level(op, swept), apply_level(op, by_hand)
-            assert list(a.amplitudes) == list(b.amplitudes)
-            assert np.array_equal(a.codes, b.codes)
-        else:
-            assert apply_closing(op, swept) == apply_closing(op, by_hand)
-        assert np.array_equal(by_hand.codes, bits.level_codes(n, p))
-        assert np.array_equal(swept.codes, by_hand.codes)
+    # codes left out are built with the vector, in the sweep's block order
+    for n in (5, bits.BLOCK_CUTOVER_N + 2) if backend == "float" else (5,):
+        op = SpinOperator(random_matrix(n, 7, "zero_one", backend=backend), "breve", statistics)
+        levels = list(orbit(op))
+        for p in (0, 2, n - 1):
+            swept = levels[p]
+            by_hand = LevelVector(n, p, list(swept.amplitudes) if swept.is_exact
+                                  else swept.amplitudes.copy())
+            assert np.array_equal(by_hand.codes, bits.block_codes(n, p))
+            assert np.array_equal(by_hand.codes, swept.codes)
+            if p < n - 1:
+                a, b = apply_level(op, swept), apply_level(op, by_hand)
+                assert list(a.amplitudes) == list(b.amplitudes)
+                assert np.array_equal(a.codes, b.codes)
+            else:
+                assert apply_closing(op, swept) == apply_closing(op, by_hand)
 
 
 def test_swept_codes_are_read_only():

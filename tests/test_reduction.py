@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from spinperm import (
     evaluate,
     lower_triangular_reduce,
     parse_complex_literal,
+    parse_matrix,
     permanent_ryser,
     random_matrix,
 )
 from spinperm import (
     ConsistencyError,
+    NonFiniteError,
     SpinpermError,
     ZeroPermanentError,
     ZeroPivotError,
@@ -42,7 +45,12 @@ from spinperm.selftest import (
     removed_by,
     removed_per_level,
 )
-from spinperm.spectral import build_eigenvector, generalized_kernel_ranks, principal_root
+from spinperm.spectral import (
+    build_eigenvector,
+    generalized_kernel_ranks,
+    principal_root,
+    verify_spectrum,
+)
 
 
 def texts_of(codes, n):
@@ -252,6 +260,27 @@ def test_spectrum_preserved_by_pushforward():
             phi, prev = factor_ba(state, prev)[0] @ phi, state.operator
             resid = np.linalg.norm(state.operator @ phi - lam * phi)
             assert resid <= 1e-8 * np.linalg.norm(phi)
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+def test_value_that_is_not_finite_is_refused_before_any_dense_check(backend, statistics):
+    # every entry 1e308: the float permanent overflows to inf and the float
+    # determinant to nan; the exact permanent is beyond the float range and
+    # the exact determinant is 0
+    matrix = parse_matrix("1e308,1e308\n1e308,1e308\n", backend=backend)
+    op = SpinOperator(matrix, "breve", statistics)
+    name = "permanent" if statistics == "bosonic" else "determinant"
+    for check in (reduce_fully, verify_spectrum, generalized_kernel_ranks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes
+            if backend == "exact" and statistics == "fermionic":
+                with pytest.raises(ZeroPermanentError):
+                    check(op)
+            else:
+                with pytest.raises(NonFiniteError,
+                                   match=f"^{name} is not finite in double precision$"):
+                    check(op)
 
 
 def test_fermionic_matches_gaussian_n3():
